@@ -193,7 +193,7 @@ def test_fusion_record():
                 "plan_fusable": plan.fusable,
                 "stages": [
                     {"node": str(s.node), "flop": s.flop, "nnz": s.nnz,
-                     "algorithm": s.algorithm, "engine": s.engine}
+                     "algorithm": s.algorithm}
                     for s in plan.stages
                 ],
                 "cells": rap,

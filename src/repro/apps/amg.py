@@ -91,9 +91,9 @@ def amg_setup(
     The Galerkin product runs through the fused chain tier: the triple
     product is associated flop-optimally, a left-deep order streams the
     intermediate block-by-block (never materializing all of ``R·A`` or
-    ``A·P``), and the default ``algorithm="auto"``/``engine="auto"`` take
-    each stage's kernel from the :class:`repro.core.chain.ChainPlan`'s
-    symbolic quantities.
+    ``A·P``), and the default ``algorithm="auto"`` takes each stage's
+    kernel from the :class:`repro.core.chain.ChainPlan`'s symbolic
+    quantities (``engine="auto"`` runs every stage batched).
 
     Parameters
     ----------

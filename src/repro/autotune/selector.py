@@ -10,16 +10,17 @@ online refinement loop has learned.  With no profile available it *is*
 the static recipe — bit-identical, including the degenerate-input guard.
 
 :func:`resolve_auto` is the hook the ``algorithm="auto"`` paths in
-``spgemm``/``plan``/``serve`` call: it returns the chosen algorithm plus
-an observation callback (None on the static path) that the caller feeds
-the measured wall seconds of the full multiply, closing the loop.
+``spgemm``/``plan``/``serve``/``parallel_spgemm`` call: it returns the
+chosen algorithm plus an observation callback (None on the static path)
+that the caller feeds the measured wall seconds of the full multiply,
+closing the loop.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..core.recipe import RECIPE_EXCLUDED, RecipeDecision, recommend
+from ..core.recipe import RECIPE_EXCLUDED, RecipeDecision, recommend, table4
 from ..matrix.csr import CSR
 from ..matrix.stats import row_skew
 from ..perfmodel.cost import MODELED_ALGORITHMS, cost_features
@@ -147,8 +148,11 @@ def resolve_auto(
     """Resolve ``algorithm="auto"`` for one multiply.
 
     Returns ``(algorithm, observe)``.  On the static path (no profile)
-    ``observe`` is None and the resolution is exactly the Table-4
-    ``recommend`` call the dispatchers made before autotuning existed.
+    ``observe`` is None and the algorithm is the Table-4 verdict of
+    :func:`~repro.core.recipe.table4` — the same as
+    ``recommend(a, b, sort_output=...).algorithm`` — which computes
+    ``nnz(C)`` only when Table 4 reads the compression ratio (unsorted
+    products), so a sorted product pays one flop count.
     On the calibrated path ``observe(measured_seconds)`` feeds the
     profile's online refiner with this run's measured wall time against
     the curve's prediction for the *chosen* algorithm, keyed by the
@@ -157,16 +161,16 @@ def resolve_auto(
     if profile is None:
         profile = active_profile()
     if profile is None:
-        return recommend(a, b, sort_output=sort_output).algorithm, None
+        return table4(a, b, sort_output=sort_output)[0], None
     q = ProblemQuantities.compute(a, b)
     if q.total_flop == 0:
-        return recommend(a, b, sort_output=sort_output).algorithm, None
+        return table4(a, b, sort_output=sort_output)[0], None
     regime = regime_key(q.compression_ratio, row_skew(a), sort_output)
     best_name, best_seconds, _ = _pick(
         q, sort_output, profile, regime, use_refiner=True
     )
     if best_name is None:
-        return recommend(a, b, sort_output=sort_output).algorithm, None
+        return table4(a, b, sort_output=sort_output)[0], None
     from ..core.plan import structure_fingerprint  # deferred: plan imports core
 
     algorithm = best_name

@@ -23,10 +23,10 @@ shapes** (see ``docs/fusion.md``):
   (:meth:`CSR.row_block` views + :func:`repro.matrix.ops.vstack_rows`), so
   the full ``R · A`` is never resident at once.
 
-Each :class:`ChainPlan` node carries a :class:`StagePlan` with per-stage
-algorithm/engine choices derived from the symbolic quantities (stage flop
-and compression ratio), used when the caller asks for ``algorithm="auto"``
-/ ``engine="auto"``.
+Each :class:`ChainPlan` node carries a :class:`StagePlan` with a per-stage
+algorithm choice derived from the symbolic quantities (the stage's
+compression ratio), used when the caller asks for ``algorithm="auto"``;
+``engine="auto"`` runs every stage on the batched engine.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ __all__ = [
     "matrix_power",
 ]
 
-#: Stage flop above which the planner picks the batched engine: below this
-#: the per-call numpy overhead of the vectorized pipeline rivals the scalar
-#: kernel's row loop, above it the ~16x engine win applies.
-FAST_FLOP_THRESHOLD = 4096
-
 #: Stage compression ratio (flop / nnz) at which collisions dominate and
 #: the planner prefers the vector-probing hash (the Table-4 boundary).
 HIGH_CR_THRESHOLD = 2.0
@@ -73,8 +68,6 @@ class StagePlan:
     nnz: int
     #: algorithm picked from the stage's compression ratio
     algorithm: str
-    #: engine picked from the stage's flop volume
-    engine: str
     #: True on the final stage when the chain carries a fused mask
     masked: bool = False
     #: output nonzeros after the mask (None when ``masked`` is False)
@@ -198,7 +191,6 @@ def plan_chain(
                 flop=step,
                 nnz=pat.nnz,
                 algorithm="hashvec" if cr >= HIGH_CR_THRESHOLD else "hash",
-                engine="fast" if step >= FAST_FLOP_THRESHOLD else "faithful",
             )
         )
         return li, rj, pat
@@ -212,7 +204,7 @@ def plan_chain(
         masked_nnz = pattern_filter(root_pat, mask, complement=complement).nnz
         stages[-1] = StagePlan(
             node=root.node, flop=root.flop, nnz=root.nnz,
-            algorithm=root.algorithm, engine=root.engine,
+            algorithm=root.algorithm,
             masked=True, masked_nnz=masked_nnz,
         )
     elif sandwich:
@@ -247,9 +239,11 @@ def multiply_chain(
     ``mask`` (an operand, so not part of the options) gates the chain's
     *final* product through the fused
     :func:`repro.core.masked.masked_spgemm` (``complement`` as there) — the
-    unmasked result is never materialized.  ``algorithm="auto"`` /
-    ``engine="auto"`` take each stage's choice from the
-    :class:`ChainPlan`'s symbolic quantities instead of one global setting.
+    unmasked result is never materialized.  ``algorithm="auto"`` takes
+    each stage's algorithm from the :class:`ChainPlan`'s symbolic
+    quantities instead of one global setting; ``engine="auto"`` runs every
+    stage on the batched ``"fast"`` engine (bit-identical to the faithful
+    one, and faster even on a stage of a few thousand flops).
 
     ``fuse`` controls the sandwich streaming tier: ``"auto"``/``"on"``
     stream a left-deep sorted triple product block-by-block through
@@ -272,7 +266,7 @@ def multiply_chain(
     semiring = options.semiring
     sort_output = options.sort_output
     nthreads = options.nthreads
-    engine = options.engine
+    engine = "fast" if options.engine == "auto" else options.engine
     complement = options.complement
     fuse = options.fuse
     plan = options.plan
@@ -298,15 +292,11 @@ def multiply_chain(
         plan = plan_chain(matrices, mask=mask, complement=complement)
     stage_map = {s.node: s for s in plan.stages}
 
-    def choose(node) -> "tuple[str, str]":
+    def choose(node) -> str:
+        if algorithm != "auto":
+            return algorithm
         st = stage_map.get(node)
-        alg = algorithm if algorithm != "auto" else (
-            st.algorithm if st is not None else "hash"
-        )
-        eng = engine if engine != "auto" else (
-            st.engine if st is not None else "faithful"
-        )
-        return alg, eng
+        return st.algorithm if st is not None else "hash"
 
     if (
         fuse != "off"
@@ -315,7 +305,8 @@ def multiply_chain(
         and plan.order == ((0, 1), 2)
     ):
         return _stream_sandwich(
-            matrices, choose=choose, mask=mask, complement=complement,
+            matrices, choose=choose, engine=engine, mask=mask,
+            complement=complement,
             semiring=semiring, nthreads=nthreads,
             plan_cache=plan_cache, tracer=tracer,
         )
@@ -325,18 +316,17 @@ def multiply_chain(
             return matrices[node]
         left = evaluate(node[0])
         right = evaluate(node[1])
-        alg, eng = choose(node)
         if apply_mask:
             return masked_spgemm(
                 left, right, mask,
                 semiring=semiring, complement=complement,
-                sort_output=sort_output, engine=eng, nthreads=nthreads,
+                sort_output=sort_output, engine=engine, nthreads=nthreads,
                 plan_cache=plan_cache, tracer=tracer,
             )
         return spgemm(
             left, right,
-            algorithm=alg, semiring=semiring,
-            sort_output=sort_output, nthreads=nthreads, engine=eng,
+            algorithm=choose(node), semiring=semiring,
+            sort_output=sort_output, nthreads=nthreads, engine=engine,
             plan_cache=plan_cache, tracer=tracer,
         )
 
@@ -347,6 +337,7 @@ def _stream_sandwich(
     matrices: "list[CSR]",
     *,
     choose,
+    engine: str,
     mask: CSR | None,
     complement: bool,
     semiring: "str | Semiring",
@@ -362,15 +353,15 @@ def _stream_sandwich(
     bit-for-bit — while only one block of the intermediate is ever alive.
     """
     m0, m1, m2 = matrices
-    alg1, eng1 = choose((0, 1))
-    alg2, eng2 = choose(((0, 1), 2))
+    alg1 = choose((0, 1))
+    alg2 = choose(((0, 1), 2))
     blocks: "list[CSR]" = []
     for r0, r1 in iter_row_blocks(m0, m1):
         left = m0.row_block(r0, r1)
         t = spgemm(
             left, m1,
             algorithm=alg1, semiring=semiring, sort_output=True,
-            nthreads=nthreads, engine=eng1,
+            nthreads=nthreads, engine=engine,
             plan_cache=plan_cache, tracer=tracer,
         )
         if mask is not None:
@@ -378,7 +369,7 @@ def _stream_sandwich(
                 masked_spgemm(
                     t, m2, mask.row_block(r0, r1),
                     semiring=semiring, complement=complement,
-                    sort_output=True, engine=eng2, nthreads=nthreads,
+                    sort_output=True, engine=engine, nthreads=nthreads,
                     plan_cache=plan_cache, tracer=tracer,
                 )
             )
@@ -387,7 +378,7 @@ def _stream_sandwich(
                 spgemm(
                     t, m2,
                     algorithm=alg2, semiring=semiring, sort_output=True,
-                    nthreads=nthreads, engine=eng2,
+                    nthreads=nthreads, engine=engine,
                     plan_cache=plan_cache, tracer=tracer,
                 )
             )

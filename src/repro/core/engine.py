@@ -11,7 +11,8 @@ Every algorithm in the registry exists for two different jobs, and the
   (:mod:`repro.core.hash_batch`): whole flop-bounded row blocks are expanded,
   bucketed and scatter-reduced with vectorized primitives.  It produces
   **bit-for-bit identical** CSR output (indptr/indices/data, sorted or
-  unsorted) for the hash-family kernels and SPA, at numpy speed — the same
+  unsorted) for the hash-family kernels, SPA and the ``mkl_inspector``
+  proxy (a one-phase SPA with unsorted output), at numpy speed — the same
   re-mapping of hash SpGEMM onto wide vector units that Le Fèvre & Casas
   (arXiv:2303.02471) perform on real hardware, applied to numpy's vector
   width.
@@ -21,9 +22,9 @@ cached, multi-process SUMMA): a backend registers an :class:`EngineInfo`
 and the capability set it covers, and :func:`repro.spgemm` routes to it.
 
 Algorithms without a batched implementation (the Heap family and the
-behavioural proxies, whose element-level behaviour *is* their purpose) fall
-back to the faithful kernel under ``engine="fast"``; ``esc`` is inherently
-vectorized, so both engines run the same code for it.
+``mkl``/``kokkos`` proxies, whose element-level behaviour *is* their
+purpose) fall back to the faithful kernel under ``engine="fast"``; ``esc``
+is inherently vectorized, so both engines run the same code for it.
 
 The :class:`ScratchArena` is the engine-level realization of the paper's
 "parallel" memory-management scheme (§5.3.1): rather than allocating fresh
@@ -91,8 +92,10 @@ ENGINES: "dict[str, EngineInfo]" = {
 }
 
 #: Algorithms with a dedicated batched implementation in
-#: :mod:`repro.core.hash_batch` (bit-for-bit identical output).
-FAST_ALGORITHMS = frozenset({"hash", "hashvec", "spa"})
+#: :mod:`repro.core.hash_batch` (bit-for-bit identical output).  The
+#: ``mkl_inspector`` proxy is one-phase SPA with unsorted output, so the
+#: batched SPA runs it.
+FAST_ALGORITHMS = frozenset({"hash", "hashvec", "spa", "mkl_inspector"})
 
 #: Algorithms that are already fully vectorized, so both engines run the
 #: same code path.
@@ -110,7 +113,6 @@ FAITHFUL_ONLY_ALGORITHMS = frozenset({
     "heap",
     "merge",
     "mkl",
-    "mkl_inspector",
     "kokkos",
     "blocked_spa",
 })
@@ -125,9 +127,9 @@ def resolve_engine(engine: str, algorithm: str) -> str:
     """Validate ``engine`` and return the engine that will actually run.
 
     ``"fast"`` resolves to ``"faithful"`` for algorithms without a batched
-    implementation (heap/merge and the behavioural proxies — their
+    implementation (heap/merge and the ``mkl``/``kokkos`` proxies — their
     element-level behaviour is the point), and stays ``"fast"`` for the
-    hash family, SPA and the inherently-vectorized ESC.
+    hash family, SPA, ``mkl_inspector`` and the inherently-vectorized ESC.
     """
     if engine not in ENGINES:
         raise invalid_choice("engine", engine, available_engines())

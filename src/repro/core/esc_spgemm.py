@@ -25,6 +25,8 @@ import numpy as np
 from ..errors import ShapeError
 from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
+from .engine import get_thread_arena
+from .hash_batch import _stable_coordinate_order
 from .instrument import KernelStats
 from .symbolic import (
     DEFAULT_MAX_BLOCK_FLOP,
@@ -62,6 +64,7 @@ def esc_spgemm(
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     sr = get_semiring(semiring)
+    arena = get_thread_arena()
 
     nrows = a.nrows
     block_indices: list[np.ndarray] = []
@@ -76,21 +79,24 @@ def esc_spgemm(
 
     for r0, r1 in iter_row_blocks(a, b, max_block_flop):
         rows, cols, factors = expand_rows(a, b, r0, r1, with_values=True)
-        if len(rows) == 0:
+        n = len(rows)
+        if n == 0:
             continue
-        total_flop += len(rows)
+        total_flop += n
         vals = np.asarray(sr.mul(factors[0], factors[1]), dtype=VALUE_DTYPE)
         if traced:
             t1 = clock()
             expand_seconds += t1 - t0
-        order = np.lexsort((cols, rows))
-        r = rows[order]
-        c = cols[order]
-        v = vals[order]
+        # One stable sort of fused (row, col) keys — the same permutation
+        # as a two-key lexsort, which it falls back to on overflow.
+        order = _stable_coordinate_order(rows, cols, r0, r1 - r0, b.ncols, arena)
+        r = np.take(rows, order, out=arena.take("rows_s", n, rows.dtype))
+        c = np.take(cols, order, out=arena.take("cols_s", n, cols.dtype))
+        v = np.take(vals, order, out=arena.take("vals_s", n, VALUE_DTYPE))
         if traced:
             t2 = clock()
             sort_seconds += t2 - t1
-        new_run = segment_mask(r, c)
+        new_run = segment_mask(r, c, out=arena.take("new_run", n, bool))
         starts = np.flatnonzero(new_run)
         block_indices.append(c[starts])
         # The ESC sort boundary itself: this kernel *defines* the pairwise
@@ -116,7 +122,7 @@ def esc_spgemm(
     if traced:
         stitch_seconds = compress_seconds + (clock() - t3)
         tracer.record("expand", expand_seconds, phase="numeric", what="expand+mul")
-        tracer.record("sort", sort_seconds, phase="sort", what="coordinate lexsort")
+        tracer.record("sort", sort_seconds, phase="sort", what="coordinate sort")
         tracer.record(
             "compress", stitch_seconds, phase="stitch", what="reduce+assemble"
         )

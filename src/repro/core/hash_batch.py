@@ -27,7 +27,8 @@ indistinguishable from the faithful kernel's:
   table extracts via its ``occupied`` list, which records keys in first
   insertion order, and SPA harvests in first-touch order: both equal the
   order each distinct column first appears in the expansion stream, which we
-  recover from the stable sort for free;
+  recover from the stable sort for free (``mkl_inspector``, an always
+  unsorted SPA, included);
 * ``hashvec`` unsorted — chunk-table order.  The chunked accumulator emits
   chunks in first-touch order and keys within a chunk in insertion order.
   When no chunk overflows (the common case, detected exactly) this equals a
@@ -61,14 +62,24 @@ from .scheduler import ThreadPartition, rows_to_threads
 from .symbolic import (
     DEFAULT_MAX_BLOCK_FLOP,
     expand_rows,
+    fused_key_fits,
     iter_row_blocks,
     segment_mask,
 )
 
 __all__ = ["batch_hash_spgemm"]
 
-#: Algorithms this module implements (same names as the Table-1 registry).
-BATCH_ALGORITHMS = ("hash", "hashvec", "spa")
+#: Algorithms this module implements (same names as the Table-1 registry),
+#: each mapped to ``(conventions, forced sort_output)``: whose output order
+#: to reproduce, and the output order the kernel fixes (None: the caller's
+#: ``sort_output``).  The MKL inspector-executor proxy *is* one-phase SPA
+#: with unsorted harvest (:func:`repro.core.mkl_like.mkl_inspector_spgemm`).
+BATCH_ALGORITHMS = {
+    "hash": ("hash", None),
+    "hashvec": ("hashvec", None),
+    "spa": ("spa", None),
+    "mkl_inspector": ("spa", False),
+}
 
 
 def _stable_coordinate_order(
@@ -88,7 +99,7 @@ def _stable_coordinate_order(
     inspector, which caches the permutation.
     """
     n = len(rows)
-    if ncols and span <= (2**62) // max(ncols, 1):
+    if fused_key_fits(span, ncols):
         key = (
             arena.take("key", n, INDPTR_DTYPE)
             if arena is not None
@@ -232,7 +243,7 @@ def batch_hash_spgemm(
 
     Parameters mirror :func:`repro.core.hash_spgemm.hash_spgemm`;
     ``algorithm`` selects whose output conventions to reproduce
-    (``"hash"``, ``"hashvec"`` or ``"spa"``).  ``stats`` receives the coarse
+    (a key of :data:`BATCH_ALGORITHMS`).  ``stats`` receives the coarse
     ledger entries only (flop, output nnz, rows, sort volume) — per-probe
     counts exist only on the faithful engine, by design.  With a ``tracer``,
     per-block expand/bucket/reduce times accumulate into numeric/sort/stitch
@@ -245,6 +256,9 @@ def batch_hash_spgemm(
             f"batch engine has no implementation for {algorithm!r}; "
             f"available: {list(BATCH_ALGORITHMS)}"
         )
+    algorithm, forced_order = BATCH_ALGORITHMS[algorithm]
+    if forced_order is not None:
+        sort_output = forced_order
     sr = get_semiring(semiring)
     if partition is not None and partition.nrows != a.nrows:
         raise ConfigError(

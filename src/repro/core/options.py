@@ -58,7 +58,7 @@ __all__ = [
 VALID_VECTOR_BITS = (128, 256, 512)
 
 #: Engine values accepted on the chain surface: the concrete engines plus
-#: ``"auto"`` (per-stage choice from the :class:`~repro.core.chain.ChainPlan`).
+#: ``"auto"`` (every stage on the batched engine).
 _CHAIN_ENGINES = ("auto",)
 
 #: Sandwich-streaming tiers accepted by ``ChainOptions.fuse``.
@@ -310,7 +310,8 @@ class ChainOptions(SpgemmOptions):
     * ``algorithm`` defaults to ``"hash"`` (the chain surface's long-time
       default) rather than ``"auto"``; pass ``"auto"`` explicitly to take
       each stage's algorithm from the :class:`~repro.core.chain.ChainPlan`.
-    * ``engine`` additionally accepts ``"auto"`` (per-stage engine choice).
+    * ``engine`` additionally accepts ``"auto"`` (every stage on the
+      batched ``"fast"`` engine).
     * ``plan`` holds a :class:`~repro.core.chain.ChainPlan` (association
       order + stage choices), not an executable kernel plan.
     """

@@ -18,7 +18,8 @@ Two layers:
   from its evaluation, keyed on data kind (real vs synthetic), compression
   ratio, edge factor, skew, operation and sortedness.
 
-:func:`recommend` applies Table 4; :func:`heap_cost_model` /
+:func:`table4` applies Table 4 and :func:`recommend` reports the features
+it keys on; :func:`heap_cost_model` /
 :func:`hash_cost_model` expose the formulas so users can see *why* (and so
 tests can check the recipe agrees with the theory where the paper says it
 does).
@@ -42,6 +43,7 @@ __all__ = [
     "AUTOTUNE_ONLY",
     "recommend",
     "recipe_table",
+    "table4",
 ]
 
 #: Registered algorithms no selector may ever pick, with why.  The paper's
@@ -147,44 +149,42 @@ class RecipeDecision:
     sorted_output: bool
 
 
-def recommend(
+def table4(
     a: CSR,
     b: CSR | None = None,
     *,
     sort_output: bool = True,
     operation: str = "square",
     synthetic: bool = False,
-) -> RecipeDecision:
-    """Apply Table 4 to pick an algorithm for ``C = A B``.
+    compression_ratio: float | None = None,
+) -> "tuple[str, str]":
+    """Table 4's ``(algorithm, reason)`` for ``C = A B``.
 
-    Parameters
-    ----------
-    operation:
-        ``"square"`` (A×A), ``"lxu"`` (triangle counting L×U) or
-        ``"tallskinny"`` (square × tall-skinny).
-    synthetic:
-        Use Table 4(b) — the synthetic-data rules keyed on edge factor and
-        skew — instead of Table 4(a)'s compression-ratio rules.  Real-world
-        callers normally leave this False.
+    The one home of the Table-4 branches.  It reads only what the chosen
+    branch keys on: the compression ratio ``flop / nnz(C)`` — the one
+    feature that needs a symbolic pass over every intermediate product —
+    is computed only on the branches that read it (unsorted A×A on real
+    data, and L×U), unless the caller passes it as ``compression_ratio``.
+    Sorted A×A on real data is "Hash for any CR" and costs one flop count.
+    The other parameters are :func:`recommend`'s.
     """
     if b is None:
         b = a
-    nnz_c = symbolic_row_nnz(a, b)
-    total_nnz_c = int(nnz_c.sum())
     flop = int(flop_per_row(a, b).sum())
-    cr = flop / total_nnz_c if total_nnz_c else 0.0
-    ef = a.nnz / a.nrows if a.nrows else 0.0
-    skew = row_skew(a)
 
-    def decision(algorithm: str, reason: str) -> RecipeDecision:
-        return RecipeDecision(
-            algorithm=algorithm,
-            reason=reason,
-            compression_ratio=cr,
-            edge_factor=ef,
-            skew=skew,
-            sorted_output=sort_output,
-        )
+    def cr() -> float:
+        if compression_ratio is not None:
+            return compression_ratio
+        return flop / int(symbolic_row_nnz(a, b).sum())
+
+    def dense_skewed() -> "tuple[bool, bool]":
+        ef = a.nnz / a.nrows if a.nrows else 0.0
+        return ef > DENSE_EF_THRESHOLD, row_skew(a) > SKEW_THRESHOLD
+
+    # Every verdict goes through decision(...): the kernel-dispatch lint
+    # rule reads these calls to learn which algorithms Table 4 can name.
+    def decision(algorithm: str, reason: str) -> "tuple[str, str]":
+        return algorithm, reason
 
     # Degenerate product: zero multiplications means the compression ratio
     # flop/nnz(C) is 0/0 and every cost model prices every algorithm at 0.
@@ -198,20 +198,19 @@ def recommend(
 
     if operation == "lxu":
         # Table 4(a), L x U row: Heap for low CR, Hash for high CR.
-        if cr <= HIGH_CR_THRESHOLD:
+        if cr() <= HIGH_CR_THRESHOLD:
             return decision("heap", "Table 4(a): LxU with low compression ratio")
         return decision("hash", "Table 4(a): LxU with high compression ratio")
 
     if operation == "tallskinny":
         # Table 4(b) TallSkinny rows: Hash everywhere except dense+skewed
         # sorted, where HashVector wins.
-        if sort_output and ef > DENSE_EF_THRESHOLD and skew > SKEW_THRESHOLD:
+        if sort_output and all(dense_skewed()):
             return decision("hashvec", "Table 4(b): tall-skinny, dense skewed, sorted")
         return decision("hash", "Table 4(b): tall-skinny")
 
     if synthetic:
-        dense = ef > DENSE_EF_THRESHOLD
-        skewed = skew > SKEW_THRESHOLD
+        dense, skewed = dense_skewed()
         if sort_output:
             if dense and skewed:
                 return decision("hash", "Table 4(b): AxA sorted, dense skewed")
@@ -223,11 +222,56 @@ def recommend(
     # Table 4(a): real data, keyed on compression ratio.
     if sort_output:
         return decision("hash", "Table 4(a): AxA sorted (Hash for any CR)")
-    if cr > HIGH_CR_THRESHOLD:
+    if cr() > HIGH_CR_THRESHOLD:
         return decision(
             "mkl_inspector", "Table 4(a): AxA unsorted, high compression ratio"
         )
     return decision("hash", "Table 4(a): AxA unsorted, low compression ratio")
+
+
+def recommend(
+    a: CSR,
+    b: CSR | None = None,
+    *,
+    sort_output: bool = True,
+    operation: str = "square",
+    synthetic: bool = False,
+) -> RecipeDecision:
+    """Apply Table 4 to pick an algorithm for ``C = A B``, with a report.
+
+    The verdict is :func:`table4`'s; this wrapper also computes every
+    feature the table can key on (compression ratio, edge factor, skew)
+    for the returned :class:`RecipeDecision`, so it always pays the
+    symbolic pass.  Dispatchers that need only the algorithm call
+    :func:`repro.autotune.resolve_auto`, which does not.
+
+    Parameters
+    ----------
+    operation:
+        ``"square"`` (A×A), ``"lxu"`` (triangle counting L×U) or
+        ``"tallskinny"`` (square × tall-skinny).
+    synthetic:
+        Use Table 4(b) — the synthetic-data rules keyed on edge factor and
+        skew — instead of Table 4(a)'s compression-ratio rules.  Real-world
+        callers normally leave this False.
+    """
+    if b is None:
+        b = a
+    total_nnz_c = int(symbolic_row_nnz(a, b).sum())
+    flop = int(flop_per_row(a, b).sum())
+    cr = flop / total_nnz_c if total_nnz_c else 0.0
+    algorithm, reason = table4(
+        a, b, sort_output=sort_output, operation=operation,
+        synthetic=synthetic, compression_ratio=cr,
+    )
+    return RecipeDecision(
+        algorithm=algorithm,
+        reason=reason,
+        compression_ratio=cr,
+        edge_factor=a.nnz / a.nrows if a.nrows else 0.0,
+        skew=row_skew(a),
+        sorted_output=sort_output,
+    )
 
 
 def recipe_table() -> str:

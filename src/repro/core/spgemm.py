@@ -182,7 +182,8 @@ def spgemm(a: CSR, b: CSR, opts: SpgemmOptions | None = None, **kwargs) -> CSR:
     engine:
         ``"faithful"`` (default) runs the scalar instrumented kernels;
         ``"fast"`` runs the batched numpy implementation
-        (:mod:`repro.core.hash_batch`) for the hash family and SPA —
+        (:mod:`repro.core.hash_batch`) for the hash family, SPA and
+        ``mkl_inspector`` —
         bit-for-bit identical output at numpy speed.  Algorithms without a
         batched implementation fall back to the faithful kernel (see
         :func:`repro.core.engine.resolve_engine`).
@@ -329,7 +330,7 @@ def _dispatch_kernel(
     tracer=None,
 ) -> CSR:
     """Route one (algorithm, engine) pair to its kernel (resolved inputs)."""
-    if engine == "fast" and algorithm in ("hash", "hashvec", "spa"):
+    if engine == "fast" and algorithm in FAST_ALGORITHMS:
         return batch_hash_spgemm(
             a, b, algorithm=algorithm, semiring=semiring,
             sort_output=sort_output, nthreads=nthreads, partition=partition,

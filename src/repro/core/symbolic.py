@@ -23,10 +23,12 @@ import numpy as np
 from ..errors import ShapeError
 from ..matrix.csr import CSR, INDPTR_DTYPE
 from ..matrix.stats import flop_per_row
+from .engine import get_thread_arena
 
 __all__ = [
     "expand_rows",
     "expand_structure",
+    "fused_key_fits",
     "iter_row_blocks",
     "mask_membership",
     "masked_row_nnz",
@@ -37,6 +39,16 @@ __all__ = [
 #: Default cap on intermediate products materialized at once (~8M entries
 #: = a few hundred MB of scratch), keeping peak memory laptop-friendly.
 DEFAULT_MAX_BLOCK_FLOP = 1 << 23
+
+
+def fused_key_fits(span: int, ncols: int) -> bool:
+    """Whether fused ``(row - r0) * ncols + col`` keys of a ``span``-row
+    block stay inside int64 (and ``ncols`` is nonzero).
+
+    The guard every fused-key sort shares; when it fails the caller falls
+    back to a two-key sort over ``(row, col)``.
+    """
+    return bool(ncols) and span <= (2**62) // ncols
 
 
 def expand_structure(
@@ -122,8 +134,9 @@ def segment_mask(
 
     ``rows``/``cols`` must already be grouped so equal coordinates are
     contiguous (any stable (row, col) sort does).  Shared by the ESC
-    compress step, the batched engine and :func:`symbolic_row_nnz` — and
-    cached by the plan layer, for which the mask *is* the symbolic result.
+    compress step, the batched engine and the two-key fallback of the
+    exact counts — and cached by the plan layer, for which the mask *is*
+    the symbolic result.
     """
     n = len(rows)
     if out is None:
@@ -164,8 +177,7 @@ def mask_membership(
         out[:] = False
         return out
     ncols = mask.ncols
-    span = row_end - row_start
-    if ncols and span <= (2**62) // max(ncols, 1):
+    if fused_key_fits(row_end - row_start, ncols):
         m_rows = np.repeat(
             np.arange(row_start, row_end, dtype=INDPTR_DTYPE),
             np.diff(mask.indptr[row_start : row_end + 1]),
@@ -216,15 +228,11 @@ def masked_row_nnz(
             continue
         allowed = mask_membership(rows, cols, mask, r0, r1) != complement
         rows = rows[allowed]
-        cols = cols[allowed]
         if len(rows) == 0:
             continue
-        order = np.lexsort((cols, rows))
-        r = rows[order]
-        c = cols[order]
-        new_run = segment_mask(r, c)
-        distinct_rows = r[new_run]
-        out[r0:r1] += np.bincount(distinct_rows - r0, minlength=r1 - r0)
+        out[r0:r1] = _distinct_per_row(
+            rows, cols[allowed], r0, r1 - r0, b.ncols
+        )
     return out
 
 
@@ -251,24 +259,49 @@ def iter_row_blocks(
         start = end
 
 
+def _distinct_per_row(
+    rows: np.ndarray, cols: np.ndarray, r0: int, span: int, ncols: int
+) -> np.ndarray:
+    """Distinct ``(row, col)`` coordinates per row of a ``span``-row block.
+
+    Each coordinate becomes one fused ``(row - r0) * ncols + col`` int64
+    key, built in the calling thread's scratch arena and sorted in place,
+    so equal coordinates are adjacent and a key's block row is
+    ``key // ncols``.  When the fused key would overflow, a two-key
+    lexsort over ``(row, col)`` counts the same runs.
+    """
+    n = len(rows)
+    if fused_key_fits(span, ncols):
+        arena = get_thread_arena()
+        key = arena.take("key", n, INDPTR_DTYPE)
+        np.subtract(rows, r0, out=key)
+        key *= ncols
+        key += cols
+        key.sort()
+        new_run = arena.take("new_run", n, bool)
+        new_run[0] = True
+        np.not_equal(key[1:], key[:-1], out=new_run[1:])
+        distinct_rows = key[new_run] // ncols
+    else:
+        order = np.lexsort((cols, rows))
+        r = rows[order]
+        distinct_rows = r[segment_mask(r, cols[order])] - r0
+    return np.bincount(distinct_rows, minlength=span)
+
+
 def symbolic_row_nnz(
     a: CSR, b: CSR, max_block_flop: int = DEFAULT_MAX_BLOCK_FLOP
 ) -> np.ndarray:
     """Exact ``nnz(c_i*)`` for every output row of ``C = A B`` (vectorized).
 
-    Expands intermediate products block-by-block, sorts each block by
-    (row, col) and counts distinct coordinates per row.  ``O(flop log flop)``
-    time, ``O(max_block_flop)`` extra space.
+    Expands intermediate products block-by-block and counts distinct
+    coordinates per row with one in-place sort of fused coordinate keys.
+    ``O(flop log flop)`` time, ``O(max_block_flop)`` extra space.
     """
     out = np.zeros(a.nrows, dtype=INDPTR_DTYPE)
     for r0, r1 in iter_row_blocks(a, b, max_block_flop):
         rows, cols, _ = expand_rows(a, b, r0, r1, with_values=False)
         if len(rows) == 0:
             continue
-        order = np.lexsort((cols, rows))
-        r = rows[order]
-        c = cols[order]
-        new_run = segment_mask(r, c)
-        distinct_rows = r[new_run]
-        out[r0:r1] += np.bincount(distinct_rows - r0, minlength=r1 - r0)
+        out[r0:r1] = _distinct_per_row(rows, cols, r0, r1 - r0, b.ncols)
     return out

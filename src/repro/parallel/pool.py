@@ -343,8 +343,10 @@ def parallel_spgemm(
     (``algorithm``, ``semiring``, ``sort_output``, ``engine``, ``tracer``),
     or both — keywords override the options object's fields, validated by
     :meth:`SpgemmOptions.from_kwargs`.  ``algorithm`` defaults to ``"esc"``
-    here (not ``"auto"``); an explicit ``"auto"`` resolves through the
-    Table-4 recipe once, on the full operands, before dispatch.  The
+    here (not ``"auto"``); an explicit ``"auto"`` resolves once, on the
+    full operands, before dispatch, through
+    :func:`repro.autotune.resolve_auto` (a calibration profile, explicit or
+    active, else the Table-4 recipe).  The
     process-local fields ``partition``, ``stats``, ``plan`` and
     ``plan_cache`` are not supported across the process boundary and raise
     :class:`~repro.errors.ConfigError`; ``nthreads`` is ignored (``nworkers``
@@ -393,11 +395,15 @@ def parallel_spgemm(
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     if options.algorithm == "auto":
-        from ..core.recipe import recommend
+        from ..autotune import resolve_auto  # deferred: autotune imports core
 
-        options = options.replace(
-            algorithm=recommend(a, b, sort_output=options.sort_output).algorithm
+        # The refiner's observe callback is dropped: the curves price one
+        # process at the profile's thread count, not this pool's wall time.
+        algorithm, _ = resolve_auto(
+            a, b, sort_output=options.sort_output,
+            profile=options.calibration,
         )
+        options = options.replace(algorithm=algorithm)
     algorithm = options.algorithm
     sr = options.semiring
     sort_output = options.sort_output

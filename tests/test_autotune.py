@@ -289,6 +289,23 @@ class TestCalibratedSelector:
         observe(0.002)
         assert p.refiner.observations("hash") == 1
 
+    @pytest.mark.parametrize("nworkers", [1, 2])
+    def test_parallel_spgemm_auto_honours_profile(self, nworkers):
+        from repro import parallel_spgemm
+
+        a = er_matrix(6, 8, seed=12)
+        assert resolve_auto(a, a, sort_output=False)[0] == "hash"
+        p = make_profile({"heap": 0.001})
+        c = parallel_spgemm(
+            a, a, algorithm="auto", sort_output=False, calibration=p,
+            nworkers=nworkers, share="pickle",
+        )
+        ref = spgemm(a, a, algorithm="heap")
+        assert c.sorted_rows  # heap's sorted rows, not hash's unsorted ones
+        assert np.array_equal(c.indptr, ref.indptr)
+        assert np.array_equal(c.indices, ref.indices)
+        assert np.array_equal(c.data.view(np.uint64), ref.data.view(np.uint64))
+
 
 class TestAutoNumerics:
     def test_profile_absent_auto_bit_identical_to_static(self):

@@ -106,6 +106,31 @@ class TestChainPlanner:
         d = a.to_dense()
         np.testing.assert_allclose(got.to_dense(), d @ d @ d, atol=1e-10)
 
+    @pytest.mark.parametrize("fuse", ["auto", "off"])
+    def test_auto_engine_runs_small_stages_batched(self, monkeypatch, fuse):
+        """``engine="auto"`` puts every stage on the fast engine, even one
+        of a few hundred flops, with the faithful engine's result."""
+        import repro.core.chain as chain_mod
+
+        a = random_csr(10, 10, 0.3, seed=6)
+        plan = plan_chain([a, a, a])
+        assert max(s.flop for s in plan.stages) < 4096
+        engines = []
+        real = chain_mod.spgemm
+
+        def spy(*args, **kwargs):
+            engines.append(kwargs["engine"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chain_mod, "spgemm", spy)
+        kw = dict(algorithm="auto", fuse=fuse, plan=plan)
+        got = multiply_chain([a, a, a], engine="auto", **kw)
+        assert engines and set(engines) == {"fast"}
+        ref = multiply_chain([a, a, a], engine="faithful", **kw)
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
+
 
 class TestAmg:
     @pytest.fixture(scope="class")

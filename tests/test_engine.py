@@ -27,7 +27,7 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-FAST_KERNELS = ("hash", "hashvec", "spa")
+FAST_KERNELS = tuple(sorted(FAST_ALGORITHMS))
 
 
 def assert_identical(fast, faithful):
