@@ -9,8 +9,9 @@ paper's load balancer, Fig. 6's FLOPS vector) via the classic
 matrix-chain dynamic program, then evaluates it with any registered kernel.
 
 Flop counts of products that involve intermediate results are themselves
-exact: the DP materializes intermediate *patterns* bottom-up (cheap relative
-to the numeric multiplies it saves).
+exact: the DP materializes intermediate *patterns* bottom-up with the
+value-free :func:`repro.core.symbolic.structure_product` (cheap relative to
+the numeric multiplies it saves).
 
 On top of the association order, the planner recognizes two **fusable
 shapes** (see ``docs/fusion.md``):
@@ -41,7 +42,7 @@ from ..semiring import PLUS_TIMES, Semiring
 from .masked import masked_spgemm
 from .options import ChainOptions
 from .spgemm import spgemm
-from .symbolic import iter_row_blocks
+from .symbolic import iter_row_blocks, structure_product
 
 __all__ = [
     "ChainPlan",
@@ -118,8 +119,9 @@ def plan_chain(
     """Matrix-chain DP over **exact** flop counts.
 
     For up to a handful of operands (the practical case: RAP is three) the
-    DP evaluates every split of every interval, computing each candidate
-    intermediate's pattern once via the boolean product.  With ``mask=``,
+    DP evaluates every split of every interval, computing each chosen
+    intermediate's pattern once via the value-free
+    :func:`~repro.core.symbolic.structure_product`.  With ``mask=``,
     the final stage is planned as a fused masked product and its
     ``masked_nnz`` records what fusion keeps off the output path.
     """
@@ -168,8 +170,7 @@ def plan_chain(
                     worst_here, worst[(i, k)] + worst[(k + 1, j)] + step
                 )
             flop, order, lp, rp = min(candidates, key=lambda t: t[0])
-            product = spgemm(lp, rp, algorithm="esc", semiring="or_and")
-            best[(i, j)] = (flop, order, pattern(product))
+            best[(i, j)] = (flop, order, structure_product(lp, rp))
             worst[(i, j)] = worst_here
     flop, order, _ = best[(0, n - 1)]
 

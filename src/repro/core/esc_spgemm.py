@@ -26,13 +26,12 @@ from ..errors import ShapeError
 from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from .engine import get_thread_arena
-from .hash_batch import _stable_coordinate_order
+from .hash_batch import _coordinate_segments
 from .instrument import KernelStats
 from .symbolic import (
     DEFAULT_MAX_BLOCK_FLOP,
-    expand_rows,
+    expand_structure,
     iter_row_blocks,
-    segment_mask,
 )
 
 __all__ = ["esc_spgemm"]
@@ -78,31 +77,32 @@ def esc_spgemm(
     t0 = clock() if traced else 0.0
 
     for r0, r1 in iter_row_blocks(a, b, max_block_flop):
-        rows, cols, factors = expand_rows(a, b, r0, r1, with_values=True)
+        rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
         n = len(rows)
         if n == 0:
             continue
         total_flop += n
-        vals = np.asarray(sr.mul(factors[0], factors[1]), dtype=VALUE_DTYPE)
+        vals = np.asarray(
+            sr.mul(a.data[a_src], b.data[b_src]), dtype=VALUE_DTYPE
+        )
         if traced:
             t1 = clock()
             expand_seconds += t1 - t0
-        # One stable sort of fused (row, col) keys — the same permutation
-        # as a two-key lexsort, which it falls back to on overflow.
-        order = _stable_coordinate_order(rows, cols, r0, r1 - r0, b.ncols, arena)
-        r = np.take(rows, order, out=arena.take("rows_s", n, rows.dtype))
-        c = np.take(cols, order, out=arena.take("cols_s", n, cols.dtype))
+        # One in-place sort of unique (row, col, arrival) keys — the same
+        # permutation as a two-key lexsort, which it falls back to on
+        # overflow.
+        order, _, starts, seg_rows, seg_cols = _coordinate_segments(
+            rows, cols, r0, r1 - r0, b.ncols, arena
+        )
         v = np.take(vals, order, out=arena.take("vals_s", n, VALUE_DTYPE))
         if traced:
             t2 = clock()
             sort_seconds += t2 - t1
-        new_run = segment_mask(r, c, out=arena.take("new_run", n, bool))
-        starts = np.flatnonzero(new_run)
-        block_indices.append(c[starts])
+        block_indices.append(seg_cols)
         # The ESC sort boundary itself: this kernel *defines* the pairwise
         # sorted-merge convention the accum-order rule carves out.
         block_data.append(sr.reduce_segments(v, starts))  # repro-lint: disable=accum-order
-        row_nnz[r0:r1] += np.bincount(r[starts] - r0, minlength=r1 - r0)
+        row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=r1 - r0)
         if traced:
             t0 = clock()
             compress_seconds += t0 - t2

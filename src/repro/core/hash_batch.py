@@ -5,16 +5,19 @@ Instead of probing a hash table per element in Python, a whole flop-bounded
 row block is processed at once:
 
 1. **expand** — materialize every intermediate product of the block with the
-   existing :func:`repro.core.symbolic.expand_rows` machinery (the classic
-   ragged gather);
-2. **bucket** — combine each product's output coordinate into one fused
-   ``row * ncols + col`` key and stable-sort, which lands every colliding
-   product in a contiguous segment (this plays the role of the scalar
-   kernels' multiplicative-hash probing: same groups, vector width instead
-   of slot width);
+   existing :func:`repro.core.symbolic.expand_structure` machinery (the
+   classic ragged gather) and multiply the gathered factor pairs;
+2. **bucket** — combine each product's output coordinate and its arrival
+   index into one unique int64 key, ``(row * ncols + col) << bits |
+   arrival``, and sort it in place, which lands every colliding product in
+   a contiguous segment in arrival order (this plays the role of the
+   scalar kernels' multiplicative-hash probing: same groups, vector width
+   instead of slot width).  Unique keys make the unstable SIMD sort return
+   the stable permutation (:func:`repro.matrix.csr.stable_coordinate_order`);
+   segment starts are read off the sorted keys;
 3. **reduce** — collapse each segment with an ordered ``np.add.at``
    scatter-reduction (:meth:`repro.semiring.Semiring.accumulate_segments`).
-   The stable sort preserves *arrival order* inside a segment and the
+   The arrival bits preserve *arrival order* inside a segment and the
    reduction applies ``add`` one value at a time in that sequence — exactly
    how the scalar kernels accumulate, float-for-float the same values
    (``reduceat`` would sum pairwise and drift by ULPs).
@@ -51,7 +54,13 @@ import time
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
+from ..matrix.csr import (
+    CSR,
+    INDEX_DTYPE,
+    INDPTR_DTYPE,
+    VALUE_DTYPE,
+    stable_coordinate_order,
+)
 from ..matrix.stats import flop_per_row
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from .accumulators import HASH_SCALE, VectorHashAccumulator, lowest_p2
@@ -61,8 +70,7 @@ from .instrument import KernelStats
 from .scheduler import ThreadPartition, rows_to_threads
 from .symbolic import (
     DEFAULT_MAX_BLOCK_FLOP,
-    expand_rows,
-    fused_key_fits,
+    expand_structure,
     iter_row_blocks,
     segment_mask,
 )
@@ -82,35 +90,44 @@ BATCH_ALGORITHMS = {
 }
 
 
-def _stable_coordinate_order(
+def _coordinate_segments(
     rows: np.ndarray,
     cols: np.ndarray,
     r0: int,
     span: int,
     ncols: int,
-    arena: ScratchArena | None = None,
-) -> np.ndarray:
-    """Stable permutation grouping products by (row, col), arrival order kept.
+    arena: ScratchArena,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """Group a product stream into its distinct output coordinates.
 
-    Uses a fused ``(row - r0) * ncols + col`` key with a single stable
-    argsort when it fits in int64, falling back to a two-key lexsort
-    otherwise — bitwise the same permutation either way (both sorts are
-    stable over identical keys).  Shared by the batched engine and the plan
-    inspector, which caches the permutation.
+    Returns ``(order, new_run, starts, seg_rows, seg_cols)``: the stable
+    coordinate permutation (:func:`~repro.matrix.csr.stable_coordinate_order`),
+    the flag marking where each coordinate's run begins in sorted order,
+    the run starts, and each run's absolute row and column.  Runs are found
+    on the sorted fused keys, so the products' rows and columns are never
+    gathered; only the overflow fallback does that.  Shared by the batched
+    engine, ESC, the masked kernel and the plan inspectors.  ``order`` and
+    ``new_run`` are arena buffers — copy them to keep them.
     """
     n = len(rows)
-    if fused_key_fits(span, ncols):
-        key = (
-            arena.take("key", n, INDPTR_DTYPE)
-            if arena is not None
-            else np.empty(n, dtype=INDPTR_DTYPE)
-        )
-        np.subtract(rows, r0, out=key)
-        key *= ncols
-        key += cols
-        return np.argsort(key, kind="stable")
-    # fused key would overflow int64 — fall back to two-key sort
-    return np.lexsort((cols, rows))
+    order, keys = stable_coordinate_order(
+        rows, cols, r0, span, ncols,
+        key=arena.take("key", n, INDPTR_DTYPE),
+        order=arena.take("order", n, INDPTR_DTYPE),
+    )
+    new_run = arena.take("new_run", n, bool)
+    if keys is None:
+        r_s = rows[order]
+        c_s = cols[order]
+        segment_mask(r_s, c_s, out=new_run)
+        starts = np.flatnonzero(new_run)
+        return order, new_run, starts, r_s[starts], c_s[starts]
+    new_run[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    seg_rows, seg_cols = np.divmod(keys[starts], ncols)
+    seg_rows += r0
+    return order, new_run, starts, seg_rows, seg_cols
 
 
 def _max_flop_per_thread(
@@ -284,12 +301,14 @@ def batch_hash_spgemm(
     t0 = clock() if traced else 0.0
 
     for r0, r1 in iter_row_blocks(a, b, max_block_flop):
-        rows, cols, factors = expand_rows(a, b, r0, r1, with_values=True)
+        rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
         n = len(rows)
         if n == 0:
             continue
         total_flop += n
-        vals = np.asarray(sr.mul(factors[0], factors[1]), dtype=VALUE_DTYPE)
+        vals = np.asarray(
+            sr.mul(a.data[a_src], b.data[b_src]), dtype=VALUE_DTYPE
+        )
         if traced:
             t1 = clock()
             numeric_seconds += t1 - t0
@@ -297,23 +316,18 @@ def batch_hash_spgemm(
         # Stable bucketing by fused (row, col) key: collisions become
         # contiguous segments, arrival order preserved inside each.
         span = r1 - r0
-        order = _stable_coordinate_order(rows, cols, r0, span, ncols, arena)
-        r_s = np.take(rows, order, out=arena.take("rows_s", n, rows.dtype))
-        c_s = np.take(cols, order, out=arena.take("cols_s", n, cols.dtype))
+        order, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
+            rows, cols, r0, span, ncols, arena
+        )
         v_s = np.take(vals, order, out=arena.take("vals_s", n, VALUE_DTYPE))
         if traced:
             t2 = clock()
             sort_seconds += t2 - t1
 
-        new_run = segment_mask(r_s, c_s, out=arena.take("new_run", n, bool))
-        starts = np.flatnonzero(new_run)
-
         # Strict arrival-order reduction.  ufunc.reduceat sums pairwise for
         # float accuracy, which is *not* the scalar kernels' left-to-right
         # sequence — accumulate_segments folds values one at a time.
         seg_vals = sr.accumulate_segments(v_s, new_run, starts)
-        seg_cols = c_s[starts]
-        seg_rows = r_s[starts]
         first_idx = order[starts]  # arrival position of each distinct key
         row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=span)
         if traced:

@@ -15,12 +15,13 @@ Two executable engines, bit-for-bit identical:
   stamp array once per row (O(nnz(mask_i*))), and scatters are filtered
   against it — an ``O(1)`` membership test per product;
 * ``engine="fast"`` — the batched expansion pipeline of
-  :mod:`repro.core.hash_batch` with the mask filter applied to the product
-  stream *before* the stable coordinate sort.  Filtering a stream preserves
-  relative order, so every surviving output entry receives its products in
-  exactly the faithful kernel's arrival sequence — same folds, same bits —
-  while the sort/accumulate volume collapses from ``flop`` to the kept
-  count.
+  :mod:`repro.core.hash_batch` with the mask filter applied to the
+  value-free product stream *before* the stable coordinate sort (a block
+  table lookup per product, :func:`repro.core.symbolic.mask_membership`).
+  Filtering a stream preserves relative order, so every surviving output
+  entry receives its products in exactly the faithful kernel's arrival
+  sequence — same folds, same bits — while the multiply/sort/accumulate
+  volume collapses from ``flop`` to the kept count.
 
 The mask gates by *output coordinate*: a kept entry accumulates **all** of
 its intermediate products, so its value equals the unmasked product's entry
@@ -43,16 +44,16 @@ from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 from ..observability import tracer_from_env
 from ..semiring import Semiring
 from .engine import ENGINES, ScratchArena, get_thread_arena
-from .hash_batch import _stable_coordinate_order
+from .hash_batch import _coordinate_segments
 from .instrument import KernelStats
 from .options import ChainOptions
 from .scheduler import ThreadPartition, rows_to_threads
+from .spgemm import _debug_validate_enabled, _phase_seconds_into_stats
 from .symbolic import (
     DEFAULT_MAX_BLOCK_FLOP,
-    expand_rows,
+    expand_structure,
     iter_row_blocks,
     mask_membership,
-    segment_mask,
 )
 
 __all__ = ["masked_spgemm"]
@@ -126,6 +127,10 @@ def masked_spgemm(  # repro-lint: disable=kernel-dispatch
     CSR
         The masked product; pattern is a subset of ``mask``'s pattern
         (or its complement).
+
+    With ``REPRO_DEBUG_VALIDATE=1`` the full CSR invariant suite runs on
+    all three operands at entry and on the result at exit, as in
+    :func:`repro.spgemm`.
     """
     options = ChainOptions.from_kwargs(opts, **kwargs)
     complement = options.complement
@@ -150,40 +155,48 @@ def masked_spgemm(  # repro-lint: disable=kernel-dispatch
         )
     if tracer is None:
         tracer = tracer_from_env()
+    debug_validate = _debug_validate_enabled()
+    if debug_validate:
+        a.validate()
+        b.validate()
+        mask.validate()
     if plan is not None:
-        return plan.execute(a, b, mask, semiring=sr, stats=stats, tracer=tracer)
-    if plan_cache is not None:
-        return plan_cache.execute_masked(
+        c = plan.execute(a, b, mask, semiring=sr, stats=stats, tracer=tracer)
+    elif plan_cache is not None:
+        c = plan_cache.execute_masked(
             a, b, mask, semiring=sr, complement=complement,
             sort_output=sort_output, engine=engine, nthreads=nthreads,
             stats=stats, tracer=tracer,
         )
-    if tracer is None:
-        return _dispatch_masked(
+    elif tracer is None:
+        c = _dispatch_masked(
             a, b, mask, sr=sr, complement=complement, sort_output=sort_output,
             engine=engine, nthreads=nthreads, partition=partition,
             stats=stats, tracer=None, max_block_flop=max_block_flop,
         )
-    with tracer.span(
-        "masked_spgemm", phase="other",
-        engine=engine, complement=complement,
-        nrows=a.nrows, ncols=b.ncols, mask_nnz=mask.nnz, nthreads=nthreads,
-    ) as root:
-        before = stats.scalar_snapshot() if stats is not None else None
-        c = _dispatch_masked(
-            a, b, mask, sr=sr, complement=complement, sort_output=sort_output,
-            engine=engine, nthreads=nthreads, partition=partition,
-            stats=stats, tracer=tracer, max_block_flop=max_block_flop,
-        )
-        root.add_counter("nnz", float(c.nnz))
-        if stats is not None:
-            for key, value in stats.scalar_snapshot().items():
-                delta = value - before[key]
-                if delta:
-                    root.add_counter(key, delta)
-            from .spgemm import _phase_seconds_into_stats
-
-            _phase_seconds_into_stats(root, stats)
+    else:
+        with tracer.span(
+            "masked_spgemm", phase="other",
+            engine=engine, complement=complement,
+            nrows=a.nrows, ncols=b.ncols, mask_nnz=mask.nnz,
+            nthreads=nthreads,
+        ) as root:
+            before = stats.scalar_snapshot() if stats is not None else None
+            c = _dispatch_masked(
+                a, b, mask, sr=sr, complement=complement,
+                sort_output=sort_output, engine=engine, nthreads=nthreads,
+                partition=partition, stats=stats, tracer=tracer,
+                max_block_flop=max_block_flop,
+            )
+            root.add_counter("nnz", float(c.nnz))
+            if stats is not None:
+                for key, value in stats.scalar_snapshot().items():
+                    delta = value - before[key]
+                    if delta:
+                        root.add_counter(key, delta)
+                _phase_seconds_into_stats(root, stats)
+    if debug_validate:
+        c.validate()
     return c
 
 
@@ -217,12 +230,13 @@ def _batch_masked(
 ) -> CSR:
     """Batched mask-gated scatter — the ``engine="fast"`` implementation.
 
-    The product stream is filtered by mask membership *before* the stable
-    coordinate sort.  Filtering preserves relative arrival order, so each
-    surviving segment folds exactly the faithful kernel's value sequence
-    through :meth:`~repro.semiring.Semiring.accumulate_segments` — the fast
-    masked path is bit-identical to the faithful one while sorting only the
-    kept products.
+    The value-free product stream is filtered by mask membership *before*
+    the stable coordinate sort, and only the kept products' factors are
+    gathered and multiplied.  Filtering preserves relative arrival order,
+    so each surviving segment folds exactly the faithful kernel's value
+    sequence through :meth:`~repro.semiring.Semiring.accumulate_segments` —
+    the fast masked path is bit-identical to the faithful one while
+    multiplying and sorting only the kept products.
     """
     if arena is None:
         arena = get_thread_arena()
@@ -239,26 +253,25 @@ def _batch_masked(
     t0 = clock() if traced else 0.0
 
     for r0, r1 in iter_row_blocks(a, b, max_block_flop):
-        rows, cols, factors = expand_rows(a, b, r0, r1, with_values=True)
+        rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
         n = len(rows)
         if n == 0:
             continue
         total_flop += n
-        vals = np.asarray(sr.mul(factors[0], factors[1]), dtype=VALUE_DTYPE)
         if traced:
             t1 = clock()
             numeric_seconds += t1 - t0
 
         # Mask gate: drop disallowed products from the stream before any
-        # sorting — the fused saving happens here.
-        allowed = mask_membership(rows, cols, mask, r0, r1)
+        # multiplying or sorting — the fused saving happens here.
+        allowed = mask_membership(rows, cols, mask, r0, r1, arena)
         if complement:
             np.logical_not(allowed, out=allowed)
-        rows = rows[allowed]
-        cols = cols[allowed]
-        vals = vals[allowed]
-        k = len(rows)
+        kept = np.flatnonzero(allowed)
+        k = len(kept)
         kept_total += k
+        rows = rows[kept]
+        cols = cols[kept]
         if traced:
             t2 = clock()
             mask_seconds += t2 - t1
@@ -267,19 +280,20 @@ def _batch_masked(
             continue
 
         span = r1 - r0
-        order = _stable_coordinate_order(rows, cols, r0, span, ncols, arena)
-        r_s = np.take(rows, order, out=arena.take("rows_s", k, rows.dtype))
-        c_s = np.take(cols, order, out=arena.take("cols_s", k, cols.dtype))
-        v_s = np.take(vals, order, out=arena.take("vals_s", k, VALUE_DTYPE))
+        order, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
+            rows, cols, r0, span, ncols, arena
+        )
         if traced:
             t3 = clock()
             sort_seconds += t3 - t2
 
-        new_run = segment_mask(r_s, c_s, out=arena.take("new_run", k, bool))
-        starts = np.flatnonzero(new_run)
+        # Only the kept products are gathered and multiplied, directly in
+        # coordinate order.
+        kept = np.take(kept, order, out=arena.take("kept_s", k, INDPTR_DTYPE))
+        v_s = np.asarray(
+            sr.mul(a.data[a_src[kept]], b.data[b_src[kept]]), dtype=VALUE_DTYPE
+        )
         seg_vals = sr.accumulate_segments(v_s, new_run, starts)
-        seg_cols = c_s[starts]
-        seg_rows = r_s[starts]
         first_idx = order[starts]
         row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=span)
         if traced:

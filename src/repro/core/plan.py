@@ -56,10 +56,10 @@ from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 from ..matrix.stats import flop_per_row
 from ..observability import NULL_TRACER, tracer_from_env
 from ..semiring import Semiring, get_semiring
-from .engine import resolve_engine
+from .engine import get_thread_arena, resolve_engine
 from .hash_batch import (
+    _coordinate_segments,
     _max_flop_per_thread,
-    _stable_coordinate_order,
     _vhash_geometry,
     _vhash_order,
 )
@@ -73,7 +73,6 @@ from .symbolic import (
     expand_structure,
     iter_row_blocks,
     mask_membership,
-    segment_mask,
     symbolic_row_nnz,
 )
 
@@ -569,6 +568,7 @@ def _inspect_batched(
             a, b, options.nthreads, options.partition, lanes
         )
 
+    arena = get_thread_arena()
     row_nnz = np.zeros(nrows, dtype=INDPTR_DTYPE)
     blocks: "list[_BlockRecipe]" = []
     block_cols: "list[np.ndarray]" = []
@@ -577,13 +577,9 @@ def _inspect_batched(
         n = len(rows)
         if n == 0:
             continue
-        order = _stable_coordinate_order(rows, cols, r0, r1 - r0, ncols)
-        r_s = rows[order]
-        c_s = cols[order]
-        new_run = segment_mask(r_s, c_s)
-        starts = np.flatnonzero(new_run)
-        seg_rows = r_s[starts]
-        seg_cols = c_s[starts]
+        order, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
+            rows, cols, r0, r1 - r0, ncols, arena
+        )
         first_idx = order[starts]
         row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=r1 - r0)
 
@@ -598,7 +594,9 @@ def _inspect_batched(
                 )
             seg_cols = seg_cols[reorder]
         blocks.append(
-            _BlockRecipe(a_src[order], b_src[order], new_run, starts, reorder)
+            _BlockRecipe(
+                a_src[order], b_src[order], new_run.copy(), starts, reorder
+            )
         )
         block_cols.append(np.ascontiguousarray(seg_cols, dtype=INDEX_DTYPE))
 
@@ -702,6 +700,7 @@ def inspect_masked(
         "plan.inspect", phase="inspect",
         algorithm="masked", engine=engine, nrows=nrows,
     ):
+        arena = get_thread_arena()
         row_nnz = np.zeros(nrows, dtype=INDPTR_DTYPE)
         blocks: "list[_BlockRecipe]" = []
         block_cols: "list[np.ndarray]" = []
@@ -709,7 +708,7 @@ def inspect_masked(
             rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
             if len(rows) == 0:
                 continue
-            allowed = mask_membership(rows, cols, mask, r0, r1)
+            allowed = mask_membership(rows, cols, mask, r0, r1, arena)
             if complement:
                 np.logical_not(allowed, out=allowed)
             rows = rows[allowed]
@@ -718,13 +717,9 @@ def inspect_masked(
             b_src = b_src[allowed]
             if len(rows) == 0:
                 continue
-            order = _stable_coordinate_order(rows, cols, r0, r1 - r0, ncols)
-            r_s = rows[order]
-            c_s = cols[order]
-            new_run = segment_mask(r_s, c_s)
-            starts = np.flatnonzero(new_run)
-            seg_rows = r_s[starts]
-            seg_cols = c_s[starts]
+            order, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
+                rows, cols, r0, r1 - r0, ncols, arena
+            )
             first_idx = order[starts]
             row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=r1 - r0)
 
@@ -735,7 +730,9 @@ def inspect_masked(
                 reorder = np.argsort(first_idx)
                 seg_cols = seg_cols[reorder]
             blocks.append(
-                _BlockRecipe(a_src[order], b_src[order], new_run, starts, reorder)
+                _BlockRecipe(
+                    a_src[order], b_src[order], new_run.copy(), starts, reorder
+                )
             )
             block_cols.append(np.ascontiguousarray(seg_cols, dtype=INDEX_DTYPE))
 

@@ -21,9 +21,15 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from ..errors import ShapeError
-from ..matrix.csr import CSR, INDPTR_DTYPE
+from ..matrix.csr import (
+    CSR,
+    INDEX_DTYPE,
+    INDPTR_DTYPE,
+    VALUE_DTYPE,
+    fused_key_fits,
+)
 from ..matrix.stats import flop_per_row
-from .engine import get_thread_arena
+from .engine import ScratchArena, get_thread_arena
 
 __all__ = [
     "expand_rows",
@@ -33,6 +39,7 @@ __all__ = [
     "mask_membership",
     "masked_row_nnz",
     "segment_mask",
+    "structure_product",
     "symbolic_row_nnz",
 ]
 
@@ -41,14 +48,14 @@ __all__ = [
 DEFAULT_MAX_BLOCK_FLOP = 1 << 23
 
 
-def fused_key_fits(span: int, ncols: int) -> bool:
-    """Whether fused ``(row - r0) * ncols + col`` keys of a ``span``-row
-    block stay inside int64 (and ``ncols`` is nonzero).
+#: Entries of the mask gate's bool table (1 MiB): the vectorised
+#: ``mask_stamp`` of the faithful masked kernel, covering as many output
+#: rows per stamp as fit.
+MASK_TABLE_ENTRIES = 1 << 20
 
-    The guard every fused-key sort shares; when it fails the caller falls
-    back to a two-key sort over ``(row, col)``.
-    """
-    return bool(ncols) and span <= (2**62) // ncols
+#: Products a table sub-block must gate on average to pay for its stamp
+#: and clear; sparser streams over wide masks use the sorted-key search.
+MASK_TABLE_MIN_PRODUCTS = 512
 
 
 def expand_structure(
@@ -67,33 +74,34 @@ def expand_structure(
     inspector–executor plan layer cache them and replay numeric-only
     executions against new values.
 
-    Everything is vectorized: the classic "ragged gather" uses a repeated
-    arange built from cumulative offsets.
+    Everything is vectorized: the classic "ragged gather" is one repeat of
+    each run's start shifted by its offset, plus one arange.
     """
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     lo = int(a.indptr[row_start])
     hi = int(a.indptr[row_end])
     a_cols = a.indices[lo:hi]
-    reps = np.diff(b.indptr)[a_cols]  # nnz(b_k*) per a-nonzero
-    total = int(reps.sum())
+    b_starts = b.indptr[a_cols]
+    reps = b.indptr[a_cols + 1] - b_starts  # nnz(b_k*) per a-nonzero
+    # offsets[j] = first product of a-nonzero j (exclusive prefix sum).
+    offsets = np.zeros(hi - lo + 1, dtype=INDPTR_DTYPE)
+    np.cumsum(reps, out=offsets[1:])
+    total = int(offsets[-1])
     if total == 0:
         empty = np.empty(0, dtype=a.indices.dtype)
         eidx = np.empty(0, dtype=INDPTR_DTYPE)
         return empty, empty, eidx, eidx
-    # Output row of each intermediate product.
-    row_of_entry = np.repeat(
-        np.arange(row_start, row_end, dtype=a.indices.dtype),
-        np.diff(a.indptr[row_start : row_end + 1]),
-    )
-    out_rows = np.repeat(row_of_entry, reps)
-    # Positions into B's arrays: starts[j] + (0..reps[j]-1), vectorized.
-    starts = b.indptr[a_cols]
-    offs = np.arange(total, dtype=INDPTR_DTYPE)
-    seg_begin = np.concatenate([[0], np.cumsum(reps)[:-1]])
-    offs -= np.repeat(seg_begin, reps)
-    b_src = np.repeat(starts, reps) + offs
+    # Positions into B's arrays: b_starts[j] + (0..reps[j]-1), vectorized.
+    b_src = np.repeat(b_starts - offsets[:-1], reps)
+    b_src += np.arange(total, dtype=INDPTR_DTYPE)
     out_cols = b.indices[b_src]
+    # Output row of each intermediate product: row i's products occupy
+    # offsets[a.indptr[i] - lo] .. offsets[a.indptr[i + 1] - lo].
+    row_products = np.diff(offsets[a.indptr[row_start : row_end + 1] - lo])
+    out_rows = np.repeat(
+        np.arange(row_start, row_end, dtype=a.indices.dtype), row_products
+    )
     a_src = np.repeat(np.arange(lo, hi, dtype=INDPTR_DTYPE), reps)
     return out_rows, out_cols, a_src, b_src
 
@@ -111,7 +119,7 @@ def expand_rows(
     Returns ``(out_rows, out_cols, a_vals_expanded_x_b_vals_or_None)`` where
     the value array is only the *gathered pair* ``(a_ik, b_kj)`` combined by
     ordinary multiplication; semiring-specific combination is done by the
-    caller (ESC passes the raw gathers through ``semiring.mul``).
+    caller (through ``semiring.mul``).
 
     Structure discovery is delegated to :func:`expand_structure`; this
     wrapper just gathers the factor values on top.
@@ -133,10 +141,10 @@ def segment_mask(
     """Boolean mask marking where a new ``(row, col)`` segment begins.
 
     ``rows``/``cols`` must already be grouped so equal coordinates are
-    contiguous (any stable (row, col) sort does).  Shared by the ESC
-    compress step, the batched engine and the two-key fallback of the
-    exact counts — and cached by the plan layer, for which the mask *is*
-    the symbolic result.
+    contiguous (any stable (row, col) sort does).  The two-key lexsort
+    fallbacks use it when fused keys would overflow; otherwise runs are
+    read off the sorted fused keys directly.  The plan layer caches the
+    mask, for which it *is* the symbolic result.
     """
     n = len(rows)
     if out is None:
@@ -155,54 +163,69 @@ def mask_membership(
     mask: CSR,
     row_start: int,
     row_end: int,
+    arena: ScratchArena | None = None,
 ) -> np.ndarray:
     """Which coordinates ``(rows[p], cols[p])`` are stored entries of ``mask``.
 
-    ``rows`` holds absolute row indices inside ``[row_start, row_end)``.
-    The test is order-independent, so an unsorted mask works: the mask
-    block's entries are flattened to fused ``(row - row_start) * ncols +
-    col`` keys and sorted once, then every query key is located with one
-    ``searchsorted``.  This is a *symbolic builder* like everything else in
-    this module — the fused masked kernel and the plan inspector call it;
-    numeric-only ``execute`` replays never do (the membership outcome is
-    baked into the cached gather order).
+    ``rows`` holds absolute row indices inside ``[row_start, row_end)`` in
+    non-decreasing order, as the expansion emits them; ``mask`` may be
+    unsorted.  The block is walked in row sub-blocks of ``span =
+    MASK_TABLE_ENTRIES // ncols`` rows.  Each sub-block's mask entries are
+    stamped as fused ``(row - s) * ncols + col`` keys into a bool table in
+    the thread's scratch arena, every product reads one byte of it, and the
+    stamps are cleared again — the vectorised form of the faithful masked
+    kernel's ``mask_stamp``.  When ``ncols`` exceeds the table, or the
+    sub-blocks would gate too few products each to pay for their stamps,
+    the mask keys are sorted instead and each product key is located with
+    one ``searchsorted``, over sub-blocks short enough that the keys never
+    overflow int64.
+
+    This is a *symbolic builder* like everything else in this module — the
+    fused masked kernel and the plan inspector call it; numeric-only
+    ``execute`` replays never do (the membership outcome is baked into the
+    cached gather order).
     """
     n = len(rows)
-    out = np.empty(n, dtype=bool)
-    if n == 0:
+    out = np.zeros(n, dtype=bool)
+    m_indptr, m_indices = mask.indptr, mask.indices
+    if n == 0 or m_indptr[row_start] == m_indptr[row_end]:
         return out
-    lo = int(mask.indptr[row_start])
-    hi = int(mask.indptr[row_end])
-    if lo == hi:
-        out[:] = False
-        return out
+    if arena is None:
+        arena = get_thread_arena()
     ncols = mask.ncols
-    if fused_key_fits(row_end - row_start, ncols):
-        m_rows = np.repeat(
-            np.arange(row_start, row_end, dtype=INDPTR_DTYPE),
-            np.diff(mask.indptr[row_start : row_end + 1]),
-        )
-        mkeys = np.sort((m_rows - row_start) * ncols + mask.indices[lo:hi])
-        pkeys = (rows.astype(INDPTR_DTYPE) - row_start) * ncols + cols
-        pos = np.searchsorted(mkeys, pkeys)
-        valid = pos < len(mkeys)
-        out[:] = False
-        out[valid] = mkeys[pos[valid]] == pkeys[valid]
-        return out
-    # Fused keys would overflow int64 (astronomical ncols): fall back to a
-    # per-row membership test against each mask row's sorted columns.
-    out[:] = False
-    for i in range(row_start, row_end):
-        sel = rows == i
-        if not sel.any():
+    nrows = row_end - row_start
+    span = min(MASK_TABLE_ENTRIES // ncols, nrows)
+    table = None
+    if span and n >= (-(-nrows // span) - 1) * MASK_TABLE_MIN_PRODUCTS:
+        table = arena.take("mask_table", span * ncols, bool)
+        table[:] = False
+    else:
+        span = max(1, (2**62) // ncols)
+    firsts = range(row_start, row_end, span)
+    cuts = np.searchsorted(rows, [*firsts, row_end]).tolist()
+    for s, ps, pe in zip(firsts, cuts, cuts[1:]):
+        e = min(s + span, row_end)
+        lo, hi = int(m_indptr[s]), int(m_indptr[e])
+        if ps == pe or lo == hi:
             continue
-        mc = np.sort(mask.indices[mask.indptr[i] : mask.indptr[i + 1]])
-        qc = cols[sel]
-        pos = np.searchsorted(mc, qc)
-        ok = pos < len(mc)
-        hit = np.zeros(len(qc), dtype=bool)
-        hit[ok] = mc[pos[ok]] == qc[ok]
-        out[sel] = hit
+        mkeys = np.repeat(
+            np.arange(0, (e - s) * ncols, ncols, dtype=INDPTR_DTYPE),
+            np.diff(m_indptr[s : e + 1]),
+        )
+        mkeys += m_indices[lo:hi]
+        pkeys = arena.take("mask_key", pe - ps, INDPTR_DTYPE)
+        np.subtract(rows[ps:pe], s, out=pkeys)
+        pkeys *= ncols
+        pkeys += cols[ps:pe]
+        if table is not None:
+            table[mkeys] = True
+            np.take(table, pkeys, out=out[ps:pe])
+            table[mkeys] = False
+        else:
+            mkeys.sort()
+            pos = np.searchsorted(mkeys, pkeys)
+            np.minimum(pos, len(mkeys) - 1, out=pos)
+            np.equal(mkeys[pos], pkeys, out=out[ps:pe])
     return out
 
 
@@ -223,7 +246,7 @@ def masked_row_nnz(
     """
     out = np.zeros(a.nrows, dtype=INDPTR_DTYPE)
     for r0, r1 in iter_row_blocks(a, b, max_block_flop):
-        rows, cols, _ = expand_rows(a, b, r0, r1, with_values=False)
+        rows, cols, _, _ = expand_structure(a, b, r0, r1)
         if len(rows) == 0:
             continue
         allowed = mask_membership(rows, cols, mask, r0, r1) != complement
@@ -259,16 +282,17 @@ def iter_row_blocks(
         start = end
 
 
-def _distinct_per_row(
+def _distinct_coordinates(
     rows: np.ndarray, cols: np.ndarray, r0: int, span: int, ncols: int
-) -> np.ndarray:
-    """Distinct ``(row, col)`` coordinates per row of a ``span``-row block.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(row - r0, col)`` pairs of a ``span``-row block, in
+    ascending ``(row, col)`` order.
 
     Each coordinate becomes one fused ``(row - r0) * ncols + col`` int64
     key, built in the calling thread's scratch arena and sorted in place,
-    so equal coordinates are adjacent and a key's block row is
-    ``key // ncols``.  When the fused key would overflow, a two-key
-    lexsort over ``(row, col)`` counts the same runs.
+    so equal coordinates are adjacent and a key splits back into its block
+    row and column by one ``divmod``.  When the fused key would overflow,
+    a two-key lexsort over ``(row, col)`` finds the same runs.
     """
     n = len(rows)
     if fused_key_fits(span, ncols):
@@ -281,12 +305,54 @@ def _distinct_per_row(
         new_run = arena.take("new_run", n, bool)
         new_run[0] = True
         np.not_equal(key[1:], key[:-1], out=new_run[1:])
-        distinct_rows = key[new_run] // ncols
-    else:
-        order = np.lexsort((cols, rows))
-        r = rows[order]
-        distinct_rows = r[segment_mask(r, cols[order])] - r0
-    return np.bincount(distinct_rows, minlength=span)
+        return np.divmod(key[new_run], ncols)
+    order = np.lexsort((cols, rows))
+    r = rows[order]
+    c = cols[order]
+    first = segment_mask(r, c)
+    return r[first] - r0, c[first]
+
+
+def _distinct_per_row(
+    rows: np.ndarray, cols: np.ndarray, r0: int, span: int, ncols: int
+) -> np.ndarray:
+    """Distinct ``(row, col)`` coordinates per row of a ``span``-row block."""
+    block_rows, _ = _distinct_coordinates(rows, cols, r0, span, ncols)
+    return np.bincount(block_rows, minlength=span)
+
+
+def structure_product(
+    a: CSR, b: CSR, max_block_flop: int = DEFAULT_MAX_BLOCK_FLOP
+) -> CSR:
+    """The pattern of ``A B``: every coordinate some product reaches.
+
+    Value-free: the expansion's coordinates go through the same in-place
+    fused-key sort as the exact counts, and every stored value is 1.0 with
+    rows sorted — the same matrix as the pattern of a boolean (``or_and``)
+    ESC product, without gathering or multiplying a single value.
+    """
+    if a.ncols != b.nrows:
+        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
+    row_nnz = np.zeros(a.nrows, dtype=INDPTR_DTYPE)
+    block_cols: "list[np.ndarray]" = []
+    for r0, r1 in iter_row_blocks(a, b, max_block_flop):
+        rows, cols, _, _ = expand_structure(a, b, r0, r1)
+        if len(rows) == 0:
+            continue
+        block_rows, distinct_cols = _distinct_coordinates(
+            rows, cols, r0, r1 - r0, b.ncols
+        )
+        row_nnz[r0:r1] = np.bincount(block_rows, minlength=r1 - r0)
+        block_cols.append(distinct_cols)
+    indptr = np.zeros(a.nrows + 1, dtype=INDPTR_DTYPE)
+    np.cumsum(row_nnz, out=indptr[1:])
+    indices = (
+        np.concatenate(block_cols) if block_cols else np.empty(0, INDEX_DTYPE)
+    )
+    return CSR(
+        (a.nrows, b.ncols), indptr, indices,
+        np.ones(len(indices), dtype=VALUE_DTYPE), sorted_rows=True,
+    )
 
 
 def symbolic_row_nnz(
@@ -300,7 +366,7 @@ def symbolic_row_nnz(
     """
     out = np.zeros(a.nrows, dtype=INDPTR_DTYPE)
     for r0, r1 in iter_row_blocks(a, b, max_block_flop):
-        rows, cols, _ = expand_rows(a, b, r0, r1, with_values=False)
+        rows, cols, _, _ = expand_structure(a, b, r0, r1)
         if len(rows) == 0:
             continue
         out[r0:r1] = _distinct_per_row(rows, cols, r0, r1 - r0, b.ncols)

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import FormatError, ShapeError
 from ..semiring import ACCUM_DTYPE
 
-__all__ = ["CSR"]
+__all__ = ["CSR", "fused_key_fits", "stable_coordinate_order"]
 
 # The canonical numeric contract.  These three constants (with
 # ``semiring.ACCUM_DTYPE``) are the only sanctioned dtype sources in the
@@ -40,6 +40,64 @@ if np.dtype(VALUE_DTYPE) != np.dtype(ACCUM_DTYPE):  # pragma: no cover
         "VALUE_DTYPE must match semiring.ACCUM_DTYPE: the stored values and "
         "the semiring accumulator share one numeric domain"
     )
+
+
+def _arrival_bits(n: int) -> int:
+    """Low bits that hold an arrival index ``0 .. n - 1`` below a fused key."""
+    return max(n - 1, 0).bit_length()
+
+
+def fused_key_fits(span: int, ncols: int, n: int = 1) -> bool:
+    """Whether composite coordinate keys of a ``span``-row block stay
+    inside int64 (and ``ncols`` is nonzero).
+
+    With the default ``n = 1`` the key is the plain fused ``(row - r0) *
+    ncols + col``; with ``n`` entries it also carries each entry's arrival
+    index in its low bits (:func:`stable_coordinate_order`).  The guard
+    every fused-key sort shares; when it fails the caller falls back to a
+    two-key ``lexsort``.
+    """
+    return bool(ncols) and span <= ((2**62) >> _arrival_bits(n)) // ncols
+
+
+def stable_coordinate_order(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    r0: int,
+    span: int,
+    ncols: int,
+    *,
+    key: np.ndarray | None = None,
+    order: np.ndarray | None = None,
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """Stable permutation grouping entries by (row, col), arrival order kept.
+
+    Entry ``p`` of a ``span``-row block starting at row ``r0`` gets the
+    key ``((row - r0) * ncols + col) << bits | p`` with ``bits =
+    bit_length(n - 1)``, sorted in place.  The keys are unique, so the
+    unstable (SIMD) sort returns exactly the stable permutation: its low
+    bits are the permutation, its high bits the sorted fused coordinates.
+    ``key`` and ``order`` are optional length-``n`` int64 output buffers
+    (``key`` may be ``rows`` itself).
+
+    Returns ``(order, keys)``: ``keys`` are the sorted fused
+    ``(row - r0) * ncols + col`` keys, or ``None`` when the composite key
+    would overflow int64 and a two-key lexsort (the same permutation)
+    produced ``order``.
+    """
+    n = len(rows)
+    if not fused_key_fits(span, ncols, n):
+        return np.lexsort((cols, rows)), None
+    bits = _arrival_bits(n)
+    key = np.subtract(rows, r0, out=key, dtype=INDPTR_DTYPE)
+    key *= ncols
+    key += cols
+    key <<= bits
+    key |= np.arange(n, dtype=INDPTR_DTYPE)
+    key.sort()
+    order = np.bitwise_and(key, (1 << bits) - 1, out=order)
+    key >>= bits
+    return order, key
 
 
 class CSR:
@@ -288,8 +346,12 @@ class CSR:
         """
         if self.sorted_rows:
             return self if inplace else self.copy()
-        rows = np.repeat(np.arange(self.nrows), self.row_nnz())
-        order = np.lexsort((self.indices, rows))
+        rows = np.repeat(
+            np.arange(self.nrows, dtype=INDPTR_DTYPE), self.row_nnz()
+        )
+        order, _ = stable_coordinate_order(
+            rows, self.indices, 0, self.nrows, self.ncols, key=rows
+        )
         indices = self.indices[order]
         data = self.data[order]
         if inplace:
