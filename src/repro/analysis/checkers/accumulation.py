@@ -9,6 +9,12 @@ silently breaks ``engine="fast"``'s equivalence with the faithful kernels
 (see :mod:`repro.core.hash_batch` and
 :meth:`repro.semiring.Semiring.accumulate_segments`).
 
+Ordered folds are ``ufunc.at``
+(:meth:`~repro.semiring.Semiring.accumulate_segments`) and plan replay's
+rank-major fold (:meth:`~repro.semiring.Semiring.fold_ranks`: one
+elementwise ``add`` per rank of *k*-th segment values, so each segment
+still applies its values one at a time in arrival order).
+
 Pairwise reduction **is** legitimate in one place: the ESC family's
 sort-then-compress boundary, where the kernel's own contract is "sorted
 merge", not "scalar-kernel replica".  Those call sites carry a

@@ -255,12 +255,15 @@ def multiply_chain(
     with sorted output (unsorted orderings depend on block boundaries).
 
     ``plan`` carries a pre-built :class:`ChainPlan`; ``plan_cache`` (a
-    :class:`repro.core.plan.PlanCache`) is forwarded to every product —
-    including masked and streamed ones — so re-evaluating a chain whose
-    operands keep their sparsity patterns (AMG's Galerkin triple product
-    per cycle, Markov iterations) pays structure discovery only on the
-    first evaluation.  ``tracer`` is forwarded to every product, so each
-    association step shows up as its own root span.
+    :class:`repro.core.plan.PlanCache`) memoizes the :class:`ChainPlan`
+    itself when no ``plan`` is given (keyed by the operands' and the mask's
+    structure fingerprints and ``complement``) and is forwarded to every
+    product — including masked and streamed ones — so re-evaluating a chain
+    whose operands keep their sparsity patterns (AMG's Galerkin triple
+    product per cycle, Markov iterations) pays structure discovery, the
+    association DP included, only on the first evaluation.  ``tracer`` is
+    forwarded to every product, so each association step shows up as its
+    own root span.
     """
     options = ChainOptions.from_kwargs(opts, **kwargs)
     algorithm = options.algorithm
@@ -290,7 +293,8 @@ def multiply_chain(
                 f"{(matrices[0].nrows, matrices[-1].ncols)}"
             )
     if plan is None:
-        plan = plan_chain(matrices, mask=mask, complement=complement)
+        planner = plan_chain if plan_cache is None else plan_cache.chain_plan
+        plan = planner(matrices, mask=mask, complement=complement)
     stage_map = {s.node: s for s in plan.stages}
 
     def choose(node) -> str:

@@ -14,7 +14,9 @@ that structure, then throw it away on every call.  This module keeps it:
 * :class:`PlanCache` is a bounded LRU keyed by structure fingerprints,
   wired behind ``spgemm(..., plan_cache=...)`` so iterative apps (AMG's
   Galerkin products, Markov clustering, multi-source BFS) get numeric-only
-  inner loops without restructuring their call sites.
+  inner loops without restructuring their call sites.  A matched key *is*
+  the structure check (one fingerprint per operand per call); chain plans
+  are memoized there too.
 
 Two plan modes cover the plan-capable algorithms (the partition is
 enforced both at import time and by the ``kernel-dispatch`` contract
@@ -22,11 +24,12 @@ linter):
 
 * **batched** — ``engine="fast"`` hash/hashvec/spa, and ``esc`` on either
   engine.  The inspector caches, per flop-bounded row block, the gather
-  sources into both operands *already in grouped order*, the segment
-  boundaries, and the output-ordering permutation, plus the full output
+  sources into both operands *already in fold order*, plus the full output
   ``indptr``/``indices``.  Execution is then gather → ``semiring.mul`` →
-  segment-accumulate → write: **zero sorting**, which is where the fresh
-  kernel spends most of its time.
+  ordered fold → one output gather: **zero sorting**, which is where the
+  fresh kernel spends most of its time.  The fold is *rank-major* (see
+  :meth:`repro.semiring.Semiring.fold_ranks`): one vectorized ``add`` per
+  rank; ESC keeps its grouped order and pairwise compress.
 * **faithful** — ``engine="faithful"`` hash/hashvec/spa.  The inspector
   caches the thread partition, the per-thread table capacities and the
   output ``indptr`` (via the vectorized :func:`symbolic_row_nnz`, which
@@ -37,8 +40,9 @@ linter):
 Either way the executed output is **bit-for-bit identical** to a fresh
 ``spgemm`` call with the same options: the cached permutations are the
 unique stable-sort orders the fresh kernels compute, elementwise
-``semiring.mul`` commutes with permutation, and segment accumulation
-replays the same value sequence.
+``semiring.mul`` commutes with permutation, and the rank-major fold applies
+each segment's values one at a time in arrival order, starting from its
+first value verbatim — the fresh kernels' sequence.
 """
 
 from __future__ import annotations
@@ -155,25 +159,173 @@ def structure_fingerprint(m: CSR) -> "tuple[int, int, int, int]":
     return (m.nrows, m.ncols, m.nnz, crc)
 
 
+#: Replay folds a rank with one vectorized ``add`` while at least this many
+#: segments of a block are open, and the rest with one ``add.at``: the
+#: per-rank Python loop runs at most ``n / FOLD_TAIL`` times.
+FOLD_TAIL = 256
+
+
 @dataclass(frozen=True)
 class _BlockRecipe:
     """Cached structure for one flop-bounded row block (batched mode).
 
     ``a_src``/``b_src`` gather the operands' ``data`` arrays directly in
-    grouped (row, col)-stable order; ``new_run``/``starts`` delimit the
-    duplicate-coordinate segments; ``reorder`` permutes the reduced
-    segments into the kernel's output order (``None`` when the grouped
-    order already is the output order, i.e. sorted output).
+    fold order.  For the ordered fold that order is rank-major (see
+    :meth:`~repro.semiring.Semiring.fold_ranks`, which reads ``counts`` and
+    ``tail_ids``) and ``seg_out`` gathers the folded segments into the
+    kernel's output order.  ESC keeps the grouped (row, col)-stable order
+    and compresses at the segment ``starts``; its ``seg_out`` is None.
     """
 
     a_src: np.ndarray
     b_src: np.ndarray
-    new_run: np.ndarray
-    starts: np.ndarray
-    reorder: np.ndarray | None
+    starts: np.ndarray | None = None
+    counts: "tuple[int, ...]" = ()
+    tail_ids: np.ndarray | None = None
+    seg_out: np.ndarray | None = None
 
 
-class SpgemmPlan:
+def _block_recipe(
+    a_src: np.ndarray, b_src: np.ndarray, order: np.ndarray,
+    starts: np.ndarray, reorder: "np.ndarray | None", esc: bool,
+) -> _BlockRecipe:
+    """Lay out one block's gather sources for replay.
+
+    ``order`` is the block's stable coordinate permutation, ``starts`` its
+    segment starts in grouped order, ``reorder`` the segments' output order
+    (None: grouped).  The ordered fold ranks segments by descending length
+    and lays the sources out rank by rank while :data:`FOLD_TAIL` segments
+    remain open, then segment by segment — all by slicing and repeats of
+    ``starts``, composed with ``order`` once.
+    """
+    if esc:
+        return _BlockRecipe(a_src[order], b_src[order], starts=starts)
+    n, nseg = len(order), len(starts)
+    lens = np.diff(starts, append=n)
+    longest = int(lens.max())
+    # The narrowest unsigned key: numpy radix-sorts 8- and 16-bit keys.
+    key = (longest - lens).astype(np.min_scalar_type(longest))
+    segorder = np.argsort(key, kind="stable")
+    # counts[k]: segments longer than k, i.e. the size of rank k
+    counts = nseg - np.cumsum(np.bincount(lens))[:longest]
+    nhead = max(1, int(np.count_nonzero(counts >= FOLD_TAIL)))
+    first = starts[segorder]
+    pos = np.empty(n, dtype=INDPTR_DTYPE)
+    o = 0
+    for k, c in enumerate(counts[:nhead].tolist()):
+        np.add(first[:c], k, out=pos[o : o + c])
+        o += c
+    ntail = int(counts[nhead]) if nhead < longest else 0
+    rest = lens[segorder[:ntail]] - nhead
+    tail_ids = np.repeat(np.arange(ntail, dtype=INDPTR_DTYPE), rest)
+    pos[o:] = np.repeat(first[:ntail] + nhead - np.cumsum(rest) + rest, rest)
+    pos[o:] += np.arange(n - o, dtype=INDPTR_DTYPE)
+    rank_of = np.empty(nseg, dtype=INDPTR_DTYPE)
+    rank_of[segorder] = np.arange(nseg, dtype=INDPTR_DTYPE)
+    src = order[pos]
+    return _BlockRecipe(
+        a_src[src], b_src[src],
+        counts=tuple(counts[:nhead].tolist()),
+        tail_ids=tail_ids,
+        seg_out=rank_of if reorder is None else rank_of[reorder],
+    )
+
+
+class _Plan:
+    """What both plan kinds share: the cached output structure and its
+    unchecked replay."""
+
+    __slots__ = ()
+
+    @property
+    def nnz(self) -> int:
+        """Output nonzeros the plan will produce."""
+        return int(self.indptr[-1])
+
+    def _check_structure(self, *operands: "CSR | None") -> None:
+        """Raise :class:`PlanError` on any structure mismatch (a None
+        operand is skipped) — always before numeric work touches the
+        cached arrays."""
+        names = ("operand A", "operand B", "mask")
+        for name, m, want in zip(names, operands, self._fps):
+            got = want if m is None else structure_fingerprint(m)
+            if got != want:
+                raise PlanError(
+                    f"{name} structure {got} does not match the inspected "
+                    f"structure {want}; re-run {self._inspector}() for this "
+                    "pattern"
+                )
+
+    def _run(
+        self, a: CSR, b: CSR, semiring: "str | Semiring",
+        stats: KernelStats | None, tracer,
+    ) -> CSR:
+        """Replay without checking the operands: the caller has matched
+        their structure fingerprints already (``execute``, or a
+        :class:`PlanCache` key)."""
+        t0 = time.perf_counter()
+        sr = get_semiring(semiring)
+        obs = tracer if tracer is not None else NULL_TRACER
+        with obs.span(
+            "plan.execute", phase="execute",
+            algorithm=self.algorithm, engine=self.engine, mode=self.mode,
+        ):
+            if self.mode == "batched":
+                c = self._replay(a, b, sr, stats)
+            else:
+                c = self._execute_faithful(a, b, sr, stats, tracer)
+        if stats is not None:
+            stats.execute_seconds += time.perf_counter() - t0
+        return c
+
+    def _replay(
+        self, a: CSR, b: CSR, sr: Semiring, stats: KernelStats | None
+    ) -> CSR:
+        nnz_total = self.nnz
+        out_data = np.empty(nnz_total, dtype=VALUE_DTYPE)
+        cursor = 0
+        total_flop = 0
+        for rec in self._blocks:
+            # The gathers are fresh arrays, never operand data, so the
+            # product may land in one.
+            ga = np.take(a.data, rec.a_src, mode="clip")
+            gb = np.take(b.data, rec.b_src, mode="clip")
+            if isinstance(sr.mul, np.ufunc):
+                vals = sr.mul(ga, gb, out=ga)
+            else:
+                vals = np.asarray(sr.mul(ga, gb), dtype=VALUE_DTYPE)
+            total_flop += len(vals)
+            if rec.seg_out is None:
+                # Replays the ESC compress: same sorted segments, same
+                # pairwise reduceat — bitwise the fresh kernel's values.
+                seg_vals = sr.reduce_segments(vals, rec.starts)  # repro-lint: disable=accum-order
+                out_data[cursor : cursor + len(seg_vals)] = seg_vals
+            else:
+                # Strict arrival-order fold, exactly like the fresh batched
+                # engine (and therefore the scalar kernels).
+                seg_vals = sr.fold_ranks(vals, rec.counts, rec.tail_ids)
+                np.take(
+                    seg_vals, rec.seg_out, mode="clip",
+                    out=out_data[cursor : cursor + len(seg_vals)],
+                )
+            cursor += len(seg_vals)
+        if stats is not None:
+            # Coarse ledger only, like the fast engine; no sort happens at
+            # execute time (that is the whole point), so no sort volume.
+            # A masked replay multiplies only the kept products, which
+            # masked_kept mirrors to stay comparable with fresh masked calls.
+            stats.flops += total_flop
+            if self.algorithm == "masked":
+                stats.masked_kept += total_flop
+            stats.output_nnz += nnz_total
+            stats.rows += self._shape_c[0]
+        return CSR(
+            self._shape_c, self.indptr, self.indices, out_data,
+            sorted_rows=self._sorted_rows,
+        )
+
+
+class SpgemmPlan(_Plan):
     """Reusable symbolic structure for one ``(A-pattern, B-pattern)`` pair.
 
     Build with :func:`inspect`; call :meth:`execute` against any operands
@@ -181,9 +333,9 @@ class SpgemmPlan:
     built and safe to reuse across calls.
     """
 
+    _inspector = "inspect"
     __slots__ = (
-        "options", "algorithm", "engine", "mode",
-        "_fp_a", "_fp_b", "_shape_c",
+        "options", "algorithm", "engine", "mode", "_fps", "_shape_c",
         "indptr", "indices", "_blocks", "_sorted_rows",
         "partition", "_caps", "_vector_width",
     )
@@ -195,8 +347,7 @@ class SpgemmPlan:
         algorithm: str,
         engine: str,
         mode: str,
-        fp_a: tuple,
-        fp_b: tuple,
+        fps: tuple,
         shape_c: "tuple[int, int]",
         indptr: np.ndarray,
         indices: np.ndarray | None = None,
@@ -210,8 +361,7 @@ class SpgemmPlan:
         self.algorithm = algorithm
         self.engine = engine
         self.mode = mode
-        self._fp_a = fp_a
-        self._fp_b = fp_b
+        self._fps = fps
         self._shape_c = shape_c
         self.indptr = indptr
         self.indices = indices
@@ -221,32 +371,11 @@ class SpgemmPlan:
         self._caps = caps
         self._vector_width = vector_width
 
-    @property
-    def nnz(self) -> int:
-        """Output nonzeros the plan will produce."""
-        return int(self.indptr[-1])
-
     def __repr__(self) -> str:
         return (
             f"SpgemmPlan(algorithm={self.algorithm!r}, engine={self.engine!r}, "
             f"mode={self.mode!r}, shape={self._shape_c}, nnz={self.nnz})"
         )
-
-    def _validate_operands(self, a: CSR, b: CSR) -> None:
-        """Raise :class:`PlanError` on any structure mismatch — always
-        before numeric work touches the cached arrays."""
-        fa = structure_fingerprint(a)
-        fb = structure_fingerprint(b)
-        if fa != self._fp_a:
-            raise PlanError(
-                f"operand A structure {fa} does not match the inspected "
-                f"structure {self._fp_a}; re-run inspect() for this pattern"
-            )
-        if fb != self._fp_b:
-            raise PlanError(
-                f"operand B structure {fb} does not match the inspected "
-                f"structure {self._fp_b}; re-run inspect() for this pattern"
-            )
 
     def execute(
         self,
@@ -266,27 +395,12 @@ class SpgemmPlan:
         bit-for-bit what a fresh ``spgemm`` call with the plan's options
         would return.
         """
-        t0 = time.perf_counter()
-        self._validate_operands(a, b)
-        sr = get_semiring(
-            semiring if semiring is not None else self.options.semiring
+        self._check_structure(a, b)
+        return self._run(
+            a, b, self.options.semiring if semiring is None else semiring,
+            self.options.stats if stats is None else stats,
+            self.options.tracer if tracer is None else tracer,
         )
-        if stats is None:
-            stats = self.options.stats
-        if tracer is None:
-            tracer = self.options.tracer
-        obs = tracer if tracer is not None else NULL_TRACER
-        with obs.span(
-            "plan.execute", phase="execute",
-            algorithm=self.algorithm, engine=self.engine, mode=self.mode,
-        ):
-            if self.mode == "batched":
-                c = self._execute_batched(a, b, sr, stats)
-            else:
-                c = self._execute_faithful(a, b, sr, stats, tracer)
-        if stats is not None:
-            stats.execute_seconds += time.perf_counter() - t0
-        return c
 
     def _execute_faithful(
         self, a: CSR, b: CSR, sr: Semiring, stats: KernelStats | None, tracer=None
@@ -303,46 +417,8 @@ class SpgemmPlan:
             stats=stats, vector_width=self._vector_width, tracer=tracer,
         )
 
-    def _execute_batched(
-        self, a: CSR, b: CSR, sr: Semiring, stats: KernelStats | None
-    ) -> CSR:
-        nnz_total = self.nnz
-        out_data = np.empty(nnz_total, dtype=VALUE_DTYPE)
-        cursor = 0
-        total_flop = 0
-        for rec in self._blocks:
-            vals = np.asarray(
-                sr.mul(a.data[rec.a_src], b.data[rec.b_src]), dtype=VALUE_DTYPE
-            )
-            total_flop += len(vals)
-            if self.algorithm == "esc":
-                # Replays the ESC compress: same sorted segments, same
-                # pairwise reduceat — bitwise the fresh kernel's values.
-                seg_vals = sr.reduce_segments(vals, rec.starts)  # repro-lint: disable=accum-order
-            else:
-                # Strict arrival-order fold, exactly like the fresh batched
-                # engine (and therefore the scalar kernels).
-                seg_vals = sr.accumulate_segments(vals, rec.new_run, rec.starts)
-            if rec.reorder is not None:
-                seg_vals = seg_vals[rec.reorder]
-            out_data[cursor : cursor + len(seg_vals)] = seg_vals
-            cursor += len(seg_vals)
-        if stats is not None:
-            # Coarse ledger only, like the fast engine; no sort happens at
-            # execute time (that is the whole point), so no sort volume.
-            stats.flops += total_flop
-            stats.output_nnz += nnz_total
-            stats.rows += self._shape_c[0]
-        return CSR(
-            self._shape_c,
-            self.indptr,
-            self.indices,
-            out_data,
-            sorted_rows=self._sorted_rows,
-        )
 
-
-class MaskedSpgemmPlan:
+class MaskedSpgemmPlan(_Plan):
     """Reusable symbolic structure for ``(A (x) B) .* pattern(mask)``.
 
     The fusion tier's plan node: build with :func:`inspect_masked`, replay
@@ -359,14 +435,14 @@ class MaskedSpgemmPlan:
     """
 
     __slots__ = (
-        "engine", "complement", "sort_output", "semiring",
-        "_fp_a", "_fp_b", "_fp_mask", "_shape_c",
+        "engine", "complement", "sort_output", "semiring", "_fps", "_shape_c",
         "indptr", "indices", "_blocks", "_sorted_rows",
     )
 
     #: reported as the plan's algorithm in spans and reprs
     algorithm = "masked"
     mode = "batched"
+    _inspector = "inspect_masked"
 
     def __init__(
         self,
@@ -375,9 +451,7 @@ class MaskedSpgemmPlan:
         complement: bool,
         sort_output: bool,
         semiring: "str | Semiring",
-        fp_a: tuple,
-        fp_b: tuple,
-        fp_mask: tuple,
+        fps: tuple,
         shape_c: "tuple[int, int]",
         indptr: np.ndarray,
         indices: np.ndarray,
@@ -387,19 +461,12 @@ class MaskedSpgemmPlan:
         self.complement = complement
         self.sort_output = sort_output
         self.semiring = semiring
-        self._fp_a = fp_a
-        self._fp_b = fp_b
-        self._fp_mask = fp_mask
+        self._fps = fps
         self._shape_c = shape_c
         self.indptr = indptr
         self.indices = indices
         self._blocks = blocks
         self._sorted_rows = sort_output
-
-    @property
-    def nnz(self) -> int:
-        """Output nonzeros the plan will produce."""
-        return int(self.indptr[-1])
 
     def __repr__(self) -> str:
         return (
@@ -407,29 +474,6 @@ class MaskedSpgemmPlan:
             f"sort_output={self.sort_output}, shape={self._shape_c}, "
             f"nnz={self.nnz})"
         )
-
-    def _validate_masked(self, a: CSR, b: CSR, mask: CSR | None) -> None:
-        """Raise :class:`PlanError` on any structure mismatch — always
-        before numeric work touches the cached arrays."""
-        fa = structure_fingerprint(a)
-        fb = structure_fingerprint(b)
-        if fa != self._fp_a:
-            raise PlanError(
-                f"operand A structure {fa} does not match the inspected "
-                f"structure {self._fp_a}; re-run inspect_masked()"
-            )
-        if fb != self._fp_b:
-            raise PlanError(
-                f"operand B structure {fb} does not match the inspected "
-                f"structure {self._fp_b}; re-run inspect_masked()"
-            )
-        if mask is not None:
-            fm = structure_fingerprint(mask)
-            if fm != self._fp_mask:
-                raise PlanError(
-                    f"mask structure {fm} does not match the inspected "
-                    f"structure {self._fp_mask}; re-run inspect_masked()"
-                )
 
     def execute(
         self,
@@ -449,53 +493,9 @@ class MaskedSpgemmPlan:
         Output is bit-for-bit what a fresh :func:`repro.core.masked.masked_spgemm`
         call (either engine) would return.
         """
-        t0 = time.perf_counter()
-        self._validate_masked(a, b, mask)
-        sr = get_semiring(semiring if semiring is not None else self.semiring)
-        obs = tracer if tracer is not None else NULL_TRACER
-        with obs.span(
-            "plan.execute", phase="execute",
-            algorithm=self.algorithm, engine=self.engine, mode=self.mode,
-        ):
-            c = self._replay(a, b, sr, stats)
-        if stats is not None:
-            stats.execute_seconds += time.perf_counter() - t0
-        return c
-
-    def _replay(
-        self, a: CSR, b: CSR, sr: Semiring, stats: KernelStats | None
-    ) -> CSR:
-        nnz_total = self.nnz
-        out_data = np.empty(nnz_total, dtype=VALUE_DTYPE)
-        cursor = 0
-        kept_total = 0
-        for rec in self._blocks:
-            vals = np.asarray(
-                sr.mul(a.data[rec.a_src], b.data[rec.b_src]), dtype=VALUE_DTYPE
-            )
-            kept_total += len(vals)
-            # Strict arrival-order fold over the mask-filtered stream —
-            # exactly the fresh masked kernels' sequence.
-            seg_vals = sr.accumulate_segments(vals, rec.new_run, rec.starts)
-            if rec.reorder is not None:
-                seg_vals = seg_vals[rec.reorder]
-            out_data[cursor : cursor + len(seg_vals)] = seg_vals
-            cursor += len(seg_vals)
-        if stats is not None:
-            # The replay multiplies only the kept products: flops here is
-            # the work actually done, masked_kept mirrors it so the ledger
-            # stays comparable with fresh masked calls.
-            stats.flops += kept_total
-            stats.masked_kept += kept_total
-            stats.output_nnz += nnz_total
-            stats.rows += self._shape_c[0]
-        return CSR(
-            self._shape_c,
-            self.indptr,
-            self.indices,
-            out_data,
-            sorted_rows=self._sorted_rows,
-        )
+        self._check_structure(a, b, mask)
+        sr = self.semiring if semiring is None else semiring
+        return self._run(a, b, sr, stats, tracer)
 
 
 def inspect(
@@ -516,6 +516,13 @@ def inspect(
     added to its ``inspect_seconds`` counter.
     """
     options = SpgemmOptions.from_kwargs(opts, **kwargs)
+    fps = (structure_fingerprint(a), structure_fingerprint(b))
+    return _inspect(a, b, options, fps)
+
+
+def _inspect(a: CSR, b: CSR, options: SpgemmOptions, fps: tuple) -> SpgemmPlan:
+    """:func:`inspect` with validated options and the operands' known
+    structure fingerprints."""
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     t0 = time.perf_counter()
@@ -540,64 +547,88 @@ def inspect(
         algorithm=algorithm, engine=engine, nrows=a.nrows,
     ):
         if engine == "fast" or algorithm == "esc":
-            plan = _inspect_batched(a, b, algorithm, engine, options)
+            # Mirrors batch_hash_spgemm (and the ESC kernel) step for step,
+            # minus the value arithmetic.
+            sort_output = options.sort_output or algorithm == "esc"
+            vhash = None
+            if algorithm == "hashvec" and not sort_output:
+                lanes = lanes_for_vector_bits(options.vector_bits)
+                vhash = (
+                    *_vhash_geometry(
+                        a, b, options.nthreads, options.partition, lanes
+                    ),
+                    lanes,
+                )
+            indptr, indices, blocks = _inspect_blocks(
+                a, b, sort_output, esc=algorithm == "esc", vhash=vhash
+            )
+            plan = SpgemmPlan(
+                options=options, algorithm=algorithm, engine=engine,
+                mode="batched", fps=fps,
+                shape_c=(a.nrows, b.ncols), indptr=indptr, indices=indices,
+                blocks=blocks, sorted_rows=sort_output,
+            )
         else:
-            plan = _inspect_faithful(a, b, algorithm, engine, options)
+            plan = _inspect_faithful(a, b, algorithm, engine, options, fps)
     if options.stats is not None:
         options.stats.inspect_seconds += time.perf_counter() - t0
     return plan
 
 
-def _inspect_batched(
-    a: CSR, b: CSR, algorithm: str, engine: str, options: SpgemmOptions
-) -> SpgemmPlan:
-    """Structure pass of the batched engine, caching every permutation.
+def _inspect_blocks(
+    a: CSR,
+    b: CSR,
+    sort_output: bool,
+    *,
+    esc: bool = False,
+    vhash: "tuple | None" = None,
+    mask: CSR | None = None,
+    complement: bool = False,
+) -> "tuple[np.ndarray, np.ndarray, list[_BlockRecipe]]":
+    """Structure pass of the batched kernels, caching every permutation.
 
-    Mirrors :func:`repro.core.hash_batch.batch_hash_spgemm` (and the ESC
-    kernel) step for step, minus the value arithmetic: same blocks, same
-    stable coordinate sort, same output-order emulation — so the cached
-    ``indices`` and per-block recipes reproduce the fresh output exactly.
+    The block loop of :func:`repro.core.hash_batch.batch_hash_spgemm`, the
+    ESC kernel and the batched masked kernel (``mask``/``complement``: the
+    same membership filter), minus the value arithmetic: same blocks, same
+    stable coordinate sort, same output order — first occurrence, or the
+    HashVector chunk-table order when ``vhash`` carries its
+    ``(chunk_mask, cap_row, lanes)`` geometry.  Returns the output
+    ``indptr``/``indices`` and one recipe per non-empty block.
     """
     nrows, ncols = a.nrows, b.ncols
-    esc = algorithm == "esc"
-    sort_output = True if esc else options.sort_output
-    chunk_mask = cap_row = None
-    lanes = lanes_for_vector_bits(options.vector_bits)
-    if algorithm == "hashvec" and not sort_output:
-        chunk_mask, cap_row = _vhash_geometry(
-            a, b, options.nthreads, options.partition, lanes
-        )
-
     arena = get_thread_arena()
     row_nnz = np.zeros(nrows, dtype=INDPTR_DTYPE)
     blocks: "list[_BlockRecipe]" = []
     block_cols: "list[np.ndarray]" = []
     for r0, r1 in iter_row_blocks(a, b):
         rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
-        n = len(rows)
-        if n == 0:
+        if mask is not None and len(rows):
+            allowed = mask_membership(rows, cols, mask, r0, r1, arena)
+            if complement:
+                np.logical_not(allowed, out=allowed)
+            rows = rows[allowed]
+            cols = cols[allowed]
+            a_src = a_src[allowed]
+            b_src = b_src[allowed]
+        if len(rows) == 0:
             continue
-        order, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
+        order, _, starts, seg_rows, seg_cols = _coordinate_segments(
             rows, cols, r0, r1 - r0, ncols, arena
         )
-        first_idx = order[starts]
         row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=r1 - r0)
-
         reorder = None
         if not sort_output:
-            if algorithm in ("hash", "spa"):
+            first_idx = order[starts]
+            if vhash is None:
                 reorder = np.argsort(first_idx)
-            else:  # hashvec: chunk-table extraction order
+            else:
+                chunk_mask, cap_row, lanes = vhash
                 reorder = _vhash_order(
                     seg_rows, seg_cols, first_idx,
                     chunk_mask, cap_row, ncols, lanes,
                 )
             seg_cols = seg_cols[reorder]
-        blocks.append(
-            _BlockRecipe(
-                a_src[order], b_src[order], new_run.copy(), starts, reorder
-            )
-        )
+        blocks.append(_block_recipe(a_src, b_src, order, starts, reorder, esc))
         block_cols.append(np.ascontiguousarray(seg_cols, dtype=INDEX_DTYPE))
 
     indptr = np.zeros(nrows + 1, dtype=INDPTR_DTYPE)
@@ -607,23 +638,12 @@ def _inspect_batched(
         if block_cols
         else np.empty(0, dtype=INDEX_DTYPE)
     )
-    return SpgemmPlan(
-        options=options,
-        algorithm=algorithm,
-        engine=engine,
-        mode="batched",
-        fp_a=structure_fingerprint(a),
-        fp_b=structure_fingerprint(b),
-        shape_c=(nrows, ncols),
-        indptr=indptr,
-        indices=indices,
-        blocks=blocks,
-        sorted_rows=sort_output,
-    )
+    return indptr, indices, blocks
 
 
 def _inspect_faithful(
-    a: CSR, b: CSR, algorithm: str, engine: str, options: SpgemmOptions
+    a: CSR, b: CSR, algorithm: str, engine: str, options: SpgemmOptions,
+    fps: tuple,
 ) -> SpgemmPlan:
     """Symbolic phase for the faithful scalar kernels.
 
@@ -650,8 +670,7 @@ def _inspect_faithful(
         algorithm=algorithm,
         engine=engine,
         mode="faithful",
-        fp_a=structure_fingerprint(a),
-        fp_b=structure_fingerprint(b),
+        fps=fps,
         shape_c=(a.nrows, b.ncols),
         indptr=indptr,
         sorted_rows=options.sort_output,
@@ -685,6 +704,19 @@ def inspect_masked(
     ``stats`` is supplied, the inspection wall time is added to its
     ``inspect_seconds`` counter.
     """
+    fps = tuple(structure_fingerprint(m) for m in (a, b, mask))
+    return _inspect_masked(
+        a, b, mask, fps, semiring=semiring, complement=complement,
+        sort_output=sort_output, engine=engine, stats=stats, tracer=tracer,
+    )
+
+
+def _inspect_masked(
+    a: CSR, b: CSR, mask: CSR, fps: tuple, *, semiring, complement: bool,
+    sort_output: bool, engine: str, stats: KernelStats | None, tracer,
+) -> MaskedSpgemmPlan:
+    """:func:`inspect_masked` with the three operands' known structure
+    fingerprints."""
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     if mask.shape != (a.nrows, b.ncols):
@@ -695,66 +727,19 @@ def inspect_masked(
     if tracer is None:
         tracer = tracer_from_env()
     obs = tracer if tracer is not None else NULL_TRACER
-    nrows, ncols = a.nrows, b.ncols
     with obs.span(
         "plan.inspect", phase="inspect",
-        algorithm="masked", engine=engine, nrows=nrows,
+        algorithm="masked", engine=engine, nrows=a.nrows,
     ):
-        arena = get_thread_arena()
-        row_nnz = np.zeros(nrows, dtype=INDPTR_DTYPE)
-        blocks: "list[_BlockRecipe]" = []
-        block_cols: "list[np.ndarray]" = []
-        for r0, r1 in iter_row_blocks(a, b):
-            rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
-            if len(rows) == 0:
-                continue
-            allowed = mask_membership(rows, cols, mask, r0, r1, arena)
-            if complement:
-                np.logical_not(allowed, out=allowed)
-            rows = rows[allowed]
-            cols = cols[allowed]
-            a_src = a_src[allowed]
-            b_src = b_src[allowed]
-            if len(rows) == 0:
-                continue
-            order, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
-                rows, cols, r0, r1 - r0, ncols, arena
-            )
-            first_idx = order[starts]
-            row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=r1 - r0)
-
-            reorder = None
-            if not sort_output:
-                # First-occurrence order over the kept stream (the masked
-                # kernels' unsorted convention on both engines).
-                reorder = np.argsort(first_idx)
-                seg_cols = seg_cols[reorder]
-            blocks.append(
-                _BlockRecipe(
-                    a_src[order], b_src[order], new_run.copy(), starts, reorder
-                )
-            )
-            block_cols.append(np.ascontiguousarray(seg_cols, dtype=INDEX_DTYPE))
-
-        indptr = np.zeros(nrows + 1, dtype=INDPTR_DTYPE)
-        np.cumsum(row_nnz, out=indptr[1:])
-        indices = (
-            np.concatenate(block_cols)
-            if block_cols
-            else np.empty(0, dtype=INDEX_DTYPE)
+        # First-occurrence order over the kept stream is the masked
+        # kernels' unsorted convention on both engines.
+        indptr, indices, blocks = _inspect_blocks(
+            a, b, sort_output, mask=mask, complement=complement
         )
         plan = MaskedSpgemmPlan(
-            engine=engine,
-            complement=complement,
-            sort_output=sort_output,
-            semiring=semiring,
-            fp_a=structure_fingerprint(a),
-            fp_b=structure_fingerprint(b),
-            fp_mask=structure_fingerprint(mask),
-            shape_c=(nrows, ncols),
-            indptr=indptr,
-            indices=indices,
-            blocks=blocks,
+            engine=engine, complement=complement, sort_output=sort_output,
+            semiring=semiring, fps=fps, shape_c=(a.nrows, b.ncols),
+            indptr=indptr, indices=indices, blocks=blocks,
         )
     if stats is not None:
         stats.inspect_seconds += time.perf_counter() - t0
@@ -781,7 +766,11 @@ class PlanCache:
     (plan-capable algorithms) and caches the plan.  Plan-less algorithms —
     including an ``"auto"`` resolution landing on one — are remembered as
     resolved-name markers so the Table-4 recipe is not re-run per
-    iteration, and fall back to an ordinary full multiplication.
+    iteration, and fall back to an ordinary full multiplication.  Each
+    call fingerprints every operand once: a matched key is the structure
+    check, so a hit replays unchecked.  Cached plans carry no ``stats`` or
+    ``tracer``; each call reports into its own.  :meth:`chain_plan`
+    memoizes ``multiply_chain``'s association plans in the same LRU.
 
     Hit/miss totals live on :attr:`hits`/:attr:`misses` and are also pushed
     into each call's :class:`~repro.core.instrument.KernelStats` (as
@@ -799,7 +788,7 @@ class PlanCache:
         if maxsize < 1:
             raise ConfigError(f"PlanCache maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, SpgemmPlan | str]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self._lock = threading.RLock()
@@ -880,10 +869,8 @@ class PlanCache:
                 from .spgemm import _spgemm_resolved
 
                 return _spgemm_resolved(a, b, options.replace(algorithm=entry))
-            return entry.execute(
-                a, b, semiring=options.semiring, stats=stats,
-                tracer=options.tracer,
-            )
+            # The key matched, which already proves the operands' structure.
+            return entry._run(a, b, options.semiring, stats, options.tracer)
         algorithm = options.algorithm
         observe = None
         if algorithm == "auto":
@@ -902,12 +889,12 @@ class PlanCache:
             self._store(key, algorithm)
             c = _spgemm_resolved(a, b, options.replace(algorithm=algorithm))
         else:
-            plan = inspect(a, b, options.replace(algorithm=algorithm))
+            plan = _inspect(a, b, options.replace(algorithm=algorithm), key[:2])
+            # A shared plan must not report into (or keep alive) the
+            # collectors of whichever call happened to inspect it.
+            plan.options = plan.options.replace(stats=None, tracer=None)
             self._store(key, plan)
-            c = plan.execute(
-                a, b, semiring=options.semiring, stats=stats,
-                tracer=options.tracer,
-            )
+            c = plan._run(a, b, options.semiring, stats, options.tracer)
         if observe is not None:
             # full inspect+execute seconds: the quantity the calibrated
             # curves predict, fed back into the online refiner
@@ -977,24 +964,41 @@ class PlanCache:
         :func:`repro.core.masked.masked_spgemm`.
         """
         del nthreads  # replay is partition-independent; see docstring
-        key = (
-            "masked",
-            structure_fingerprint(a),
-            structure_fingerprint(b),
-            structure_fingerprint(mask),
-            complement,
-            sort_output,
-        )
-        entry = self._lookup(key, stats)
-        if entry is not None:
-            return entry.execute(
-                a, b, mask, semiring=semiring, stats=stats, tracer=tracer
+        fps = tuple(structure_fingerprint(m) for m in (a, b, mask))
+        key = ("masked", *fps, complement, sort_output)
+        plan = self._lookup(key, stats)
+        if plan is None:
+            plan = _inspect_masked(
+                a, b, mask, fps, semiring=semiring, complement=complement,
+                sort_output=sort_output, engine=engine, stats=stats,
+                tracer=tracer,
             )
-        plan = inspect_masked(
-            a, b, mask, semiring=semiring, complement=complement,
-            sort_output=sort_output, engine=engine, stats=stats, tracer=tracer,
+            self._store(key, plan)
+        return plan._run(a, b, semiring, stats, tracer)
+
+    def chain_plan(
+        self,
+        matrices: "list[CSR]",
+        *,
+        mask: CSR | None = None,
+        complement: bool = False,
+    ):
+        """:func:`repro.core.chain.plan_chain`, memoized per structure.
+
+        Keyed by the operands' structure fingerprints in order, the mask's
+        and ``complement``; chain plans share the LRU and the hit/miss
+        counters with the product plans.
+        """
+        key = (
+            "chain",
+            tuple(structure_fingerprint(m) for m in matrices),
+            None if mask is None else structure_fingerprint(mask),
+            complement,
         )
-        self._store(key, plan)
-        return plan.execute(
-            a, b, mask, semiring=semiring, stats=stats, tracer=tracer
-        )
+        plan = self._lookup(key, None)
+        if plan is None:
+            from .chain import plan_chain  # deferred: chain imports spgemm
+
+            plan = plan_chain(matrices, mask=mask, complement=complement)
+            self._store(key, plan)
+        return plan

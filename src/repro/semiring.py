@@ -140,6 +140,34 @@ class Semiring:
             self.add.at(out, seg_ids[rest], values[rest])
         return out
 
+    def fold_ranks(
+        self, values: np.ndarray, counts: "tuple[int, ...]", tail_ids: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`accumulate_segments` over a *rank-major* layout.
+
+        ``values`` holds every segment's first value (longest segment
+        first), then every second value, and so on: rank ``k`` is
+        ``counts[k]`` values.  Rank 0 seeds the accumulators verbatim and
+        each later rank folds into their prefix with one vectorized ``add``
+        — per segment, one value at a time in arrival order.  The values
+        after the last counted rank fold with ``add.at`` into ``tail_ids``.
+        """
+        acc = values[: counts[0]].copy()
+        o = counts[0]
+        for c in counts[1:]:
+            self.add(acc[:c], values[o : o + c], out=acc[:c])
+            o += c
+        if len(tail_ids):
+            self.add.at(acc, tail_ids, values[o:])
+        if np.isnan(acc).any():
+            # Where two NaNs meet, numpy's vectorized loops keep either
+            # payload depending on the SIMD lane, while ufunc.at keeps the
+            # accumulator's like accumulate_segments: refold with it.
+            acc = values[: counts[0]].copy()
+            ids = [np.arange(c) for c in counts[1:]] + [tail_ids]
+            self.add.at(acc, np.concatenate(ids), values[counts[0] :])
+        return acc
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Semiring({self.name!r})"
 

@@ -18,7 +18,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro import ConfigError, PlanError, SpgemmOptions, csr_from_coo, spgemm
+from repro import (
+    ConfigError,
+    PlanError,
+    SpgemmOptions,
+    csr_from_coo,
+    masked_spgemm,
+    multiply_chain,
+    spgemm,
+)
+from repro.core import chain as chain_mod
+from repro.core import plan as plan_mod
 from repro.core.instrument import KernelStats
 from repro.core.plan import (
     PLAN_ALGORITHMS,
@@ -29,6 +39,7 @@ from repro.core.plan import (
 )
 from repro.core.spgemm import ALGORITHMS
 from repro.matrix.csr import CSR
+from repro.observability import Tracer
 from repro.rmat import er_matrix, g500_matrix
 from repro.semiring import MAX_TIMES, SEMIRINGS
 
@@ -279,6 +290,144 @@ class TestPlanCache:
         assert len(cache) == 0
         with pytest.raises(ConfigError):
             PlanCache(maxsize=0)
+
+
+# ---------------------------------------------------------------------------
+# One fingerprint per operand, no leaked collectors, memoized chain plans
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def count_fingerprints(monkeypatch):
+    """Record every operand :func:`structure_fingerprint` is called on."""
+    seen = []
+
+    def counting(m):
+        seen.append(m)
+        return structure_fingerprint(m)
+
+    monkeypatch.setattr(plan_mod, "structure_fingerprint", counting)
+    return seen
+
+
+class TestCacheFingerprints:
+    def test_spgemm_hit_and_miss_fingerprint_each_operand_once(
+        self, medium_random, count_fingerprints
+    ):
+        m = medium_random
+        cache = PlanCache()
+        for seed in (1, 2):  # a miss, then a hit
+            a, b = revalue(m, seed), revalue(m, seed + 10)
+            count_fingerprints.clear()
+            c = spgemm(a, b, algorithm="hash", engine="fast", plan_cache=cache)
+            assert [id(x) for x in count_fingerprints] == [id(a), id(b)]
+            assert_identical(c, spgemm(a, b, algorithm="hash", engine="fast"))
+        assert (cache.misses, cache.hits) == (1, 1)
+
+    def test_masked_hit_fingerprints_each_operand_once(
+        self, medium_random, count_fingerprints
+    ):
+        m = medium_random
+        cache = PlanCache()
+        cache.execute_masked(m, m, m)
+        a = revalue(m, 3)
+        count_fingerprints.clear()
+        c = masked_spgemm(a, a, m, plan_cache=cache)
+        assert [id(x) for x in count_fingerprints] == [id(a), id(a), id(m)]
+        assert cache.hits == 1
+        assert_identical(c, masked_spgemm(a, a, m))
+
+    def test_mismatch_raises_direct_and_misses_cached(self, medium_random):
+        m = medium_random
+        # Same shape, one nonzero fewer.
+        other = CSR(m.shape, np.minimum(m.indptr, m.nnz - 1),
+                    m.indices[:-1], m.data[:-1])
+        assert structure_fingerprint(other) != structure_fingerprint(m)
+        plan = inspect_plan(m, m, algorithm="hash", engine="fast")
+        with pytest.raises(PlanError):
+            plan.execute(other, m)
+        masked = plan_mod.inspect_masked(m, m, m)
+        with pytest.raises(PlanError, match="mask structure"):
+            masked.execute(m, m, other)
+        cache = PlanCache()
+        spgemm(m, m, algorithm="hash", engine="fast", plan_cache=cache)
+        c = spgemm(other, m, algorithm="hash", engine="fast", plan_cache=cache)
+        assert (cache.misses, cache.hits) == (2, 0)
+        assert_identical(c, spgemm(other, m, algorithm="hash", engine="fast"))
+        cache.execute_masked(m, m, m)
+        c = cache.execute_masked(m, m, other)
+        assert (cache.misses, cache.hits) == (4, 0)
+        assert_identical(c, masked_spgemm(m, m, other))
+
+
+class TestCollectorsNotShared:
+    def test_cached_plan_drops_the_inspecting_callers_collectors(
+        self, medium_random
+    ):
+        m = medium_random
+        cache = PlanCache()
+        stats, tracer = KernelStats(), Tracer()
+        spgemm(m, m, algorithm="hash", engine="fast", plan_cache=cache,
+               stats=stats, tracer=tracer)
+        flops, spans = stats.flops, len(tracer.spans)
+        for _ in range(5):
+            spgemm(m, m, algorithm="hash", engine="fast", plan_cache=cache)
+        assert cache.hits == 5
+        assert (stats.flops, len(tracer.spans)) == (flops, spans)
+
+    def test_direct_plan_still_reports_to_its_options(self, medium_random):
+        m = medium_random
+        stats = KernelStats()
+        plan = inspect_plan(m, m, algorithm="hash", engine="fast", stats=stats)
+        plan.execute(m, m)
+        assert stats.flops > 0
+
+    def test_masked_cache_does_not_leak_collectors(self, medium_random):
+        m = medium_random
+        cache = PlanCache()
+        stats, tracer = KernelStats(), Tracer()
+        masked_spgemm(m, m, m, plan_cache=cache, stats=stats, tracer=tracer)
+        flops, spans = stats.flops, len(tracer.spans)
+        for _ in range(5):
+            masked_spgemm(m, m, m, plan_cache=cache)
+        assert cache.hits == 5
+        assert (stats.flops, len(tracer.spans)) == (flops, spans)
+
+
+class TestChainPlanMemo:
+    @pytest.fixture
+    def count_plan_chain(self, monkeypatch):
+        calls = []
+        real = chain_mod.plan_chain
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chain_mod, "plan_chain", counting)
+        return calls
+
+    def test_planned_once_per_structure(self, count_plan_chain):
+        r = er_matrix(6, 3, seed=1)
+        a = er_matrix(6, 4, seed=2)
+        p = er_matrix(6, 3, seed=3)
+        mask = er_matrix(6, 5, seed=4)
+        cache = PlanCache()
+        runs = [
+            ([r, a, p], {}, True),
+            ([r, revalue(a, 5), p], {}, False),        # new values only
+            ([r, er_matrix(6, 5, seed=7), p], {}, True),  # new structure
+            ([r, a, p], dict(mask=mask), True),
+            ([r, revalue(a, 6), p], dict(mask=mask), False),
+            ([r, a, p], dict(mask=mask, complement=True), True),
+            ([r, a, p], dict(mask=revalue(mask, 8)), False),
+            ([r, a, p], dict(mask=er_matrix(6, 3, seed=9)), True),
+        ]
+        for mats, kw, plans in runs:
+            before = len(count_plan_chain)
+            got = multiply_chain(mats, plan_cache=cache, **kw)
+            assert len(count_plan_chain) - before == int(plans)
+            assert_identical(got, multiply_chain(mats, **kw))
 
 
 # ---------------------------------------------------------------------------
