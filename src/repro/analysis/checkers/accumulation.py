@@ -10,10 +10,13 @@ silently breaks ``engine="fast"``'s equivalence with the faithful kernels
 :meth:`repro.semiring.Semiring.accumulate_segments`).
 
 Ordered folds are ``ufunc.at``
-(:meth:`~repro.semiring.Semiring.accumulate_segments`) and plan replay's
-rank-major fold (:meth:`~repro.semiring.Semiring.fold_ranks`: one
-elementwise ``add`` per rank of *k*-th segment values, so each segment
-still applies its values one at a time in arrival order).
+(:meth:`~repro.semiring.Semiring.accumulate_segments`), the batched
+kernels' first-touch fold (``ufunc.at`` of every later product into its
+coordinate's first product, in arrival order —
+:mod:`repro.core.hash_batch`) and plan replay's rank-major fold
+(:meth:`~repro.semiring.Semiring.fold_ranks`: one elementwise ``add`` per
+rank of *k*-th segment values, so each segment still applies its values
+one at a time in arrival order).
 
 Pairwise reduction **is** legitimate in one place: the ESC family's
 sort-then-compress boundary, where the kernel's own contract is "sorted

@@ -41,6 +41,7 @@ from ..matrix.stats import total_flop
 from ..semiring import PLUS_TIMES, Semiring
 from .masked import masked_spgemm
 from .options import ChainOptions
+from .recipe import HIGH_CR_THRESHOLD
 from .spgemm import spgemm
 from .symbolic import iter_row_blocks, structure_product
 
@@ -51,11 +52,6 @@ __all__ = [
     "plan_chain",
     "matrix_power",
 ]
-
-#: Stage compression ratio (flop / nnz) at which collisions dominate and
-#: the planner prefers the vector-probing hash (the Table-4 boundary).
-HIGH_CR_THRESHOLD = 2.0
-
 
 @dataclass(frozen=True)
 class StagePlan:
@@ -191,7 +187,9 @@ def plan_chain(
                 node=node,
                 flop=step,
                 nnz=pat.nnz,
-                algorithm="hashvec" if cr >= HIGH_CR_THRESHOLD else "hash",
+                # Above Table 4's CR boundary collisions dominate and the
+                # vector-probing hash wins.
+                algorithm="hashvec" if cr > HIGH_CR_THRESHOLD else "hash",
             )
         )
         return li, rj, pat

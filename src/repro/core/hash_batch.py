@@ -7,31 +7,33 @@ row block is processed at once:
 1. **expand** — materialize every intermediate product of the block with the
    existing :func:`repro.core.symbolic.expand_structure` machinery (the
    classic ragged gather) and multiply the gathered factor pairs;
-2. **bucket** — combine each product's output coordinate and its arrival
-   index into one unique int64 key, ``(row * ncols + col) << bits |
-   arrival``, and sort it in place, which lands every colliding product in
-   a contiguous segment in arrival order (this plays the role of the
-   scalar kernels' multiplicative-hash probing: same groups, vector width
-   instead of slot width).  Unique keys make the unstable SIMD sort return
-   the stable permutation (:func:`repro.matrix.csr.stable_coordinate_order`);
-   segment starts are read off the sorted keys;
-3. **reduce** — collapse each segment with an ordered ``np.add.at``
-   scatter-reduction (:meth:`repro.semiring.Semiring.accumulate_segments`).
-   The arrival bits preserve *arrival order* inside a segment and the
-   reduction applies ``add`` one value at a time in that sequence — exactly
-   how the scalar kernels accumulate, float-for-float the same values
-   (``reduceat`` would sum pairwise and drift by ULPs).
+2. **bucket** — group colliding products by output coordinate.  Unsorted
+   first-occurrence output walks row sub-blocks over a dense first-touch
+   table (the vectorised SPA, ``O(flop)``): ``np.minimum.at`` leaves each
+   coordinate's first arrival, and the first products, in arrival order,
+   are the output.  Everything else sorts one unique int64 key per
+   product, ``(row * ncols + col) << bits | arrival``, in place, which
+   lands colliding products in contiguous segments in arrival order (the
+   unstable SIMD sort returns the stable permutation,
+   :func:`repro.matrix.csr.stable_coordinate_order`);
+3. **reduce** — each coordinate starts as its first product's value and
+   an ordered ``ufunc.at`` applies the later ones one at a time in
+   *arrival order* (:meth:`repro.semiring.Semiring.accumulate_segments`
+   on the sort path) — exactly how the scalar kernels accumulate,
+   float-for-float the same values (``reduceat`` would sum pairwise and
+   drift by ULPs).
 
 Output *ordering* is then emulated per algorithm so the result is
 indistinguishable from the faithful kernel's:
 
 * sorted output — ascending column (all kernels agree);
-* ``hash`` / ``spa`` unsorted — **first-occurrence order**.  The scalar hash
-  table extracts via its ``occupied`` list, which records keys in first
-  insertion order, and SPA harvests in first-touch order: both equal the
-  order each distinct column first appears in the expansion stream, which we
-  recover from the stable sort for free (``mkl_inspector``, an always
-  unsorted SPA, included);
+* ``hash`` / ``spa`` / ``mkl_inspector`` unsorted — **first-occurrence
+  order**.  The scalar hash table extracts via its ``occupied`` list,
+  which records keys in first insertion order, and SPA (the MKL
+  inspector-executor proxy is an always-unsorted SPA) harvests in
+  first-touch order: both equal the order each distinct column first
+  appears in the expansion stream — the first-touch table's output order,
+  or the sorted segments listed by ascending first arrival;
 * ``hashvec`` unsorted — chunk-table order.  The chunked accumulator emits
   chunks in first-touch order and keys within a chunk in insertion order.
   When no chunk overflows (the common case, detected exactly) this equals a
@@ -41,7 +43,7 @@ indistinguishable from the faithful kernel's:
   :class:`~repro.core.accumulators.VectorHashAccumulator`, so the emulation
   is exact in all cases.
 
-Scratch (fused keys, gathered copies, segment flags) lives in the calling
+Scratch (fused keys, the first-touch table, segment flags) lives in the calling
 thread's :class:`~repro.core.engine.ScratchArena` — allocated once, reused
 across row blocks and across calls, mirroring the paper's §5.3.1 parallel
 allocation scheme.
@@ -70,24 +72,41 @@ from .instrument import KernelStats
 from .scheduler import ThreadPartition, rows_to_threads
 from .symbolic import (
     DEFAULT_MAX_BLOCK_FLOP,
+    TOUCH_TABLE_ENTRIES,
+    TOUCH_TABLE_MIN_PRODUCTS,
+    _row_sub_blocks,
+    _table_span,
     expand_structure,
     iter_row_blocks,
+    mask_membership,
     segment_mask,
 )
 
-__all__ = ["batch_hash_spgemm"]
+__all__ = ["batch_hash_spgemm", "batch_output_order"]
 
 #: Algorithms this module implements (same names as the Table-1 registry),
-#: each mapped to ``(conventions, forced sort_output)``: whose output order
-#: to reproduce, and the output order the kernel fixes (None: the caller's
-#: ``sort_output``).  The MKL inspector-executor proxy *is* one-phase SPA
-#: with unsorted harvest (:func:`repro.core.mkl_like.mkl_inspector_spgemm`).
+#: each mapped to ``(unsorted order, forced sort_output)``: the order the
+#: kernel's unsorted output reproduces, and the output order the kernel
+#: fixes (None: the caller's ``sort_output``).  The MKL inspector-executor
+#: proxy *is* one-phase SPA with unsorted harvest.
 BATCH_ALGORITHMS = {
-    "hash": ("hash", None),
+    "hash": ("first_touch", None),
     "hashvec": ("hashvec", None),
-    "spa": ("spa", None),
-    "mkl_inspector": ("spa", False),
+    "spa": ("first_touch", None),
+    "mkl_inspector": ("first_touch", False),
 }
+
+
+def batch_output_order(algorithm: str, sort_output: bool) -> "str | None":
+    """The output order the batched kernel gives ``algorithm``:
+    ``"sorted"``, ``"first_touch"`` or ``"hashvec"`` (None: not batched).
+    Two algorithms with one order produce the same bytes."""
+    if algorithm not in BATCH_ALGORITHMS:
+        return None
+    unsorted_order, forced = BATCH_ALGORITHMS[algorithm]
+    if forced is not None:
+        sort_output = forced
+    return "sorted" if sort_output else unsorted_order
 
 
 def _coordinate_segments(
@@ -128,6 +147,45 @@ def _coordinate_segments(
     seg_rows, seg_cols = np.divmod(keys[starts], ncols)
     seg_rows += r0
     return order, new_run, starts, seg_rows, seg_cols
+
+
+def _first_touch_segments(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    r0: int,
+    r1: int,
+    ncols: int,
+    arena: ScratchArena,
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """Group a block's product stream by coordinate in first-touch order.
+
+    Walks row sub-blocks over a dense int64 table where ``np.minimum.at``
+    leaves each coordinate's first arrival, resetting only the touched
+    entries.  Returns ``(first, owner)`` (arena buffers): ``first`` flags
+    each coordinate's first product, and ``owner[p]`` is the arrival index
+    of product ``p``'s first product.  None when ``ncols`` is wider than
+    the table or the sub-blocks hold too few products to pay for the walk.
+    """
+    n = len(rows)
+    span = _table_span(
+        n, r1 - r0, ncols, TOUCH_TABLE_ENTRIES, TOUCH_TABLE_MIN_PRODUCTS
+    )
+    if not span:
+        return None
+    table = arena.take("touch_table", span * ncols, INDPTR_DTYPE)
+    table.fill(n)  # past every arrival index
+    key = arena.take("key", n, INDPTR_DTYPE)
+    owner = arena.take("order", n, INDPTR_DTYPE)
+    first = arena.take("new_run", n, bool)
+    for s, ps, pe in _row_sub_blocks(rows, r0, r1, span):
+        k = np.subtract(rows[ps:pe], s, out=key[ps:pe])
+        k *= ncols
+        k += cols[ps:pe]
+        arrival = np.arange(ps, pe, dtype=INDPTR_DTYPE)
+        np.minimum.at(table, k, arrival)
+        np.take(table, k, out=owner[ps:pe])
+        table[k[np.equal(owner[ps:pe], arrival, out=first[ps:pe])]] = n
+    return first, owner
 
 
 def _max_flop_per_thread(
@@ -268,95 +326,152 @@ def batch_hash_spgemm(
     """
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    if algorithm not in BATCH_ALGORITHMS:
+    order = batch_output_order(algorithm, sort_output)
+    if order is None:
         raise ConfigError(
             f"batch engine has no implementation for {algorithm!r}; "
             f"available: {list(BATCH_ALGORITHMS)}"
         )
-    algorithm, forced_order = BATCH_ALGORITHMS[algorithm]
-    if forced_order is not None:
-        sort_output = forced_order
-    sr = get_semiring(semiring)
     if partition is not None and partition.nrows != a.nrows:
         raise ConfigError(
             f"partition covers {partition.nrows} rows, matrix has {a.nrows}"
         )
+    vhash = None
+    if order == "hashvec":
+        lanes = lanes_for_vector_bits(vector_bits)
+        vhash = (*_vhash_geometry(a, b, nthreads, partition, lanes), lanes)
+    return _batch_blocks(
+        a, b, get_semiring(semiring), order, vhash=vhash, stats=stats,
+        max_block_flop=max_block_flop, arena=arena, tracer=tracer,
+    )
+
+
+def _batch_blocks(
+    a: CSR,
+    b: CSR,
+    sr: Semiring,
+    order: str,
+    *,
+    mask: CSR | None = None,
+    complement: bool = False,
+    vhash: "tuple | None" = None,
+    stats: KernelStats | None = None,
+    max_block_flop: int = DEFAULT_MAX_BLOCK_FLOP,
+    arena: ScratchArena | None = None,
+    tracer=None,
+) -> CSR:
+    """The block loop of both batched kernels.
+
+    Each flop-bounded row block is expanded, optionally gated by ``mask``
+    membership (filtering keeps the arrival order), multiplied, grouped by
+    output coordinate, folded in arrival order and emitted in ``order`` (a
+    value of :func:`batch_output_order`; ``vhash`` carries the ``hashvec``
+    chunk geometry).  ``stats`` gets the coarse ledger entries, and with a
+    ``mask`` the evaluated and kept product counts.
+    """
     if arena is None:
         arena = get_thread_arena()
     nrows, ncols = a.nrows, b.ncols
-
-    chunk_mask = cap_row = None
-    lanes = lanes_for_vector_bits(vector_bits)
-    if algorithm == "hashvec" and not sort_output:
-        chunk_mask, cap_row = _vhash_geometry(a, b, nthreads, partition, lanes)
-
     row_nnz = np.zeros(nrows, dtype=INDPTR_DTYPE)
     block_cols: "list[np.ndarray]" = []
     block_vals: "list[np.ndarray]" = []
-    total_flop = 0
-
-    traced = tracer is not None
-    numeric_seconds = sort_seconds = 0.0
+    total_flop = kept_total = 0
+    seconds = dict.fromkeys(("numeric", "mask", "sort"), 0.0)
     clock = time.perf_counter
-    t0 = clock() if traced else 0.0
+    mark = clock()
+
+    def lap(phase: str) -> None:
+        nonlocal mark
+        if tracer is not None:
+            now = clock()
+            seconds[phase] += now - mark
+            mark = now
 
     for r0, r1 in iter_row_blocks(a, b, max_block_flop):
         rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
         n = len(rows)
+        total_flop += n
+        if mask is not None and n:
+            lap("numeric")
+            # Mask gate: drop disallowed products from the stream before
+            # any multiplying or grouping — the fused saving happens here.
+            allowed = mask_membership(rows, cols, mask, r0, r1, arena)
+            if complement:
+                np.logical_not(allowed, out=allowed)
+            kept = np.flatnonzero(allowed)
+            rows, cols = rows[kept], cols[kept]
+            a_src, b_src = a_src[kept], b_src[kept]
+            n = len(kept)
+            kept_total += n
+            lap("mask")
         if n == 0:
             continue
-        total_flop += n
-        vals = np.asarray(
-            sr.mul(a.data[a_src], b.data[b_src]), dtype=VALUE_DTYPE
-        )
-        if traced:
-            t1 = clock()
-            numeric_seconds += t1 - t0
+        # Each index stream is dropped once gathered; the product lands in
+        # the (fresh) A gather when mul is a ufunc.
+        vals = a.data[a_src]
+        del a_src
+        b_vals = b.data[b_src]
+        del b_src
+        if isinstance(sr.mul, np.ufunc):
+            sr.mul(vals, b_vals, out=vals)
+        else:
+            vals = np.asarray(sr.mul(vals, b_vals), dtype=VALUE_DTYPE)
+        del b_vals
+        lap("numeric")
 
-        # Stable bucketing by fused (row, col) key: collisions become
-        # contiguous segments, arrival order preserved inside each.
-        span = r1 - r0
-        order, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
-            rows, cols, r0, span, ncols, arena
-        )
-        v_s = np.take(vals, order, out=arena.take("vals_s", n, VALUE_DTYPE))
-        if traced:
-            t2 = clock()
-            sort_seconds += t2 - t1
-
-        # Strict arrival-order reduction.  ufunc.reduceat sums pairwise for
-        # float accuracy, which is *not* the scalar kernels' left-to-right
-        # sequence — accumulate_segments folds values one at a time.
-        seg_vals = sr.accumulate_segments(v_s, new_run, starts)
-        first_idx = order[starts]  # arrival position of each distinct key
-        row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=span)
-        if traced:
-            t3 = clock()
-            numeric_seconds += t3 - t2
-
-        if sort_output:
-            pass  # segments are already in ascending (row, col) order
-        elif algorithm in ("hash", "spa"):
-            # First-occurrence order; rows are disjoint in arrival space, so
-            # a single argsort is simultaneously row-major and per-row exact.
-            reorder = np.argsort(first_idx)
-            seg_cols = seg_cols[reorder]
-            seg_vals = seg_vals[reorder]
-        else:  # hashvec
-            reorder = _vhash_order(
-                seg_rows, seg_cols, first_idx, chunk_mask, cap_row, ncols, lanes
+        grouped = None
+        if order == "first_touch":
+            grouped = _first_touch_segments(rows, cols, r0, r1, ncols, arena)
+        if grouped is not None:
+            first, owner = grouped
+            seg_rows, seg_cols = rows[first], cols[first]
+            del rows, cols
+            later = ~first
+            lap("sort")
+            # Each first product's value seeds its coordinate verbatim and
+            # the later ones fold into it one at a time in arrival order:
+            # accumulate_segments' sequence.
+            sr.add.at(vals, owner[later], vals[later])
+            seg_vals = vals[first]
+        else:
+            # Stable bucketing by fused (row, col) key: collisions become
+            # contiguous segments, arrival order preserved inside each.
+            perm, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
+                rows, cols, r0, r1 - r0, ncols, arena
             )
-            seg_cols = seg_cols[reorder]
-            seg_vals = seg_vals[reorder]
+            del rows, cols
+            v_s = np.take(vals, perm, out=arena.take("vals_s", n, VALUE_DTYPE))
+            lap("sort")
+            # ufunc.reduceat sums pairwise for float accuracy, which is
+            # *not* the scalar kernels' left-to-right sequence.
+            seg_vals = sr.accumulate_segments(v_s, new_run, starts)
+        del vals
+        row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=r1 - r0)
+        lap("numeric")
 
+        if grouped is None and order != "sorted":
+            first_idx = perm[starts]  # arrival of each distinct key
+            if order == "first_touch":
+                # Rows are disjoint in arrival space, so listing segments by
+                # ascending first arrival is row-major and per-row
+                # first-occurrence order at once: a scatter, not a sort.
+                seen = arena.take("new_run", n, bool)
+                seen[:] = False
+                seen[first_idx] = True
+                seg_at = arena.take("key", n, INDPTR_DTYPE)
+                seg_at[first_idx] = np.arange(len(first_idx))
+                reorder = seg_at[seen]
+            else:
+                chunk_mask, cap_row, lanes = vhash
+                reorder = _vhash_order(
+                    seg_rows, seg_cols, first_idx, chunk_mask, cap_row,
+                    ncols, lanes,
+                )
+            seg_cols, seg_vals = seg_cols[reorder], seg_vals[reorder]
         block_cols.append(np.ascontiguousarray(seg_cols, dtype=INDEX_DTYPE))
         block_vals.append(np.ascontiguousarray(seg_vals, dtype=VALUE_DTYPE))
-        if traced:
-            t0 = clock()
-            sort_seconds += t0 - t3
+        lap("sort")
 
-    if traced:
-        t4 = clock()
     indptr = np.zeros(nrows + 1, dtype=INDPTR_DTYPE)
     np.cumsum(row_nnz, out=indptr[1:])
     nnz_total = int(indptr[-1])
@@ -367,22 +482,33 @@ def batch_hash_spgemm(
         out_indices[cursor : cursor + len(bc)] = bc
         out_data[cursor : cursor + len(bv)] = bv
         cursor += len(bc)
-    if traced:
+    if tracer is not None:
         tracer.record(
-            "expand+reduce", numeric_seconds, phase="numeric", what="expand/mul/reduce"
+            "expand+reduce", seconds["numeric"], phase="numeric",
+            what="expand/mul/reduce",
+        )
+        if mask is not None:
+            tracer.record(
+                "mask-gate", seconds["mask"], phase="mask",
+                what="mask membership filter",
+            )
+        tracer.record(
+            "bucket", seconds["sort"], phase="sort", what="coordinate grouping"
         )
         tracer.record(
-            "bucket", sort_seconds, phase="sort", what="stable coordinate order"
+            "assemble", clock() - mark, phase="stitch", what="block assembly"
         )
-        tracer.record("assemble", clock() - t4, phase="stitch", what="block assembly")
 
     if stats is not None:
         stats.flops += total_flop
         stats.output_nnz += nnz_total
         stats.rows += nrows
-        if sort_output:
+        if order == "sorted":
             stats.sorted_elements += nnz_total
-
+        if mask is not None:
+            stats.spa_touches += total_flop
+            stats.masked_kept += kept_total
     return CSR(
-        (nrows, ncols), indptr, out_indices, out_data, sorted_rows=sort_output
+        (nrows, ncols), indptr, out_indices, out_data,
+        sorted_rows=order == "sorted",
     )

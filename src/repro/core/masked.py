@@ -16,8 +16,8 @@ Two executable engines, bit-for-bit identical:
   against it — an ``O(1)`` membership test per product;
 * ``engine="fast"`` — the batched expansion pipeline of
   :mod:`repro.core.hash_batch` with the mask filter applied to the
-  value-free product stream *before* the stable coordinate sort (a block
-  table lookup per product, :func:`repro.core.symbolic.mask_membership`).
+  value-free product stream *before* grouping (a block table lookup per
+  product, :func:`repro.core.symbolic.mask_membership`).
   Filtering a stream preserves relative order, so every surviving output
   entry receives its products in exactly the faithful kernel's arrival
   sequence — same folds, same bits — while the multiply/sort/accumulate
@@ -43,18 +43,13 @@ from ..errors import ConfigError, ShapeError
 from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 from ..observability import tracer_from_env
 from ..semiring import Semiring
-from .engine import ENGINES, ScratchArena, get_thread_arena
-from .hash_batch import _coordinate_segments
+from .engine import ENGINES
+from .hash_batch import _batch_blocks
 from .instrument import KernelStats
 from .options import ChainOptions
 from .scheduler import ThreadPartition, rows_to_threads
 from .spgemm import _debug_validate_enabled, _phase_seconds_into_stats
-from .symbolic import (
-    DEFAULT_MAX_BLOCK_FLOP,
-    expand_structure,
-    iter_row_blocks,
-    mask_membership,
-)
+from .symbolic import DEFAULT_MAX_BLOCK_FLOP
 
 __all__ = ["masked_spgemm"]
 
@@ -205,150 +200,19 @@ def _dispatch_masked(
     partition, stats, tracer, max_block_flop,
 ):
     if engine == "fast":
-        return _batch_masked(
-            a, b, mask, sr=sr, complement=complement, sort_output=sort_output,
-            stats=stats, tracer=tracer, max_block_flop=max_block_flop,
+        # The batched block loop with the mask gate applied to the
+        # value-free stream before grouping: filtering keeps the arrival
+        # order, so each kept coordinate folds the faithful kernel's value
+        # sequence, and unsorted output is the first-touch order of the
+        # kept stream — the faithful kernel's first-touch list.
+        return _batch_blocks(
+            a, b, sr, "sorted" if sort_output else "first_touch",
+            mask=mask, complement=complement, stats=stats,
+            max_block_flop=max_block_flop, tracer=tracer,
         )
     return _faithful_masked(
         a, b, mask, sr=sr, complement=complement, sort_output=sort_output,
         nthreads=nthreads, partition=partition, stats=stats, tracer=tracer,
-    )
-
-
-def _batch_masked(
-    a: CSR,
-    b: CSR,
-    mask: CSR,
-    *,
-    sr: Semiring,
-    complement: bool,
-    sort_output: bool,
-    stats: KernelStats | None,
-    tracer,
-    max_block_flop: int,
-    arena: ScratchArena | None = None,
-) -> CSR:
-    """Batched mask-gated scatter — the ``engine="fast"`` implementation.
-
-    The value-free product stream is filtered by mask membership *before*
-    the stable coordinate sort, and only the kept products' factors are
-    gathered and multiplied.  Filtering preserves relative arrival order,
-    so each surviving segment folds exactly the faithful kernel's value
-    sequence through :meth:`~repro.semiring.Semiring.accumulate_segments` —
-    the fast masked path is bit-identical to the faithful one while
-    multiplying and sorting only the kept products.
-    """
-    if arena is None:
-        arena = get_thread_arena()
-    nrows, ncols = a.nrows, b.ncols
-    row_nnz = np.zeros(nrows, dtype=INDPTR_DTYPE)
-    block_cols: "list[np.ndarray]" = []
-    block_vals: "list[np.ndarray]" = []
-    total_flop = 0
-    kept_total = 0
-
-    traced = tracer is not None
-    numeric_seconds = mask_seconds = sort_seconds = 0.0
-    clock = time.perf_counter
-    t0 = clock() if traced else 0.0
-
-    for r0, r1 in iter_row_blocks(a, b, max_block_flop):
-        rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
-        n = len(rows)
-        if n == 0:
-            continue
-        total_flop += n
-        if traced:
-            t1 = clock()
-            numeric_seconds += t1 - t0
-
-        # Mask gate: drop disallowed products from the stream before any
-        # multiplying or sorting — the fused saving happens here.
-        allowed = mask_membership(rows, cols, mask, r0, r1, arena)
-        if complement:
-            np.logical_not(allowed, out=allowed)
-        kept = np.flatnonzero(allowed)
-        k = len(kept)
-        kept_total += k
-        rows = rows[kept]
-        cols = cols[kept]
-        if traced:
-            t2 = clock()
-            mask_seconds += t2 - t1
-            t0 = t2
-        if k == 0:
-            continue
-
-        span = r1 - r0
-        order, new_run, starts, seg_rows, seg_cols = _coordinate_segments(
-            rows, cols, r0, span, ncols, arena
-        )
-        if traced:
-            t3 = clock()
-            sort_seconds += t3 - t2
-
-        # Only the kept products are gathered and multiplied, directly in
-        # coordinate order.
-        kept = np.take(kept, order, out=arena.take("kept_s", k, INDPTR_DTYPE))
-        v_s = np.asarray(
-            sr.mul(a.data[a_src[kept]], b.data[b_src[kept]]), dtype=VALUE_DTYPE
-        )
-        seg_vals = sr.accumulate_segments(v_s, new_run, starts)
-        first_idx = order[starts]
-        row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=span)
-        if traced:
-            t4 = clock()
-            numeric_seconds += t4 - t3
-
-        if not sort_output:
-            # First-occurrence order over the *kept* stream — the same order
-            # the faithful kernel's first-touch list records.
-            reorder = np.argsort(first_idx)
-            seg_cols = seg_cols[reorder]
-            seg_vals = seg_vals[reorder]
-
-        block_cols.append(np.ascontiguousarray(seg_cols, dtype=INDEX_DTYPE))
-        block_vals.append(np.ascontiguousarray(seg_vals, dtype=VALUE_DTYPE))
-        if traced:
-            t0 = clock()
-            sort_seconds += t0 - t4
-
-    if traced:
-        t5 = clock()
-    indptr = np.zeros(nrows + 1, dtype=INDPTR_DTYPE)
-    np.cumsum(row_nnz, out=indptr[1:])
-    nnz_total = int(indptr[-1])
-    out_indices = np.empty(nnz_total, dtype=INDEX_DTYPE)
-    out_data = np.empty(nnz_total, dtype=VALUE_DTYPE)
-    cursor = 0
-    for bc, bv in zip(block_cols, block_vals):
-        out_indices[cursor : cursor + len(bc)] = bc
-        out_data[cursor : cursor + len(bv)] = bv
-        cursor += len(bc)
-    if traced:
-        tracer.record(
-            "expand+reduce", numeric_seconds, phase="numeric",
-            what="expand/mul/reduce",
-        )
-        tracer.record(
-            "mask-gate", mask_seconds, phase="mask", what="mask membership filter"
-        )
-        tracer.record(
-            "bucket", sort_seconds, phase="sort", what="stable coordinate order"
-        )
-        tracer.record("assemble", clock() - t5, phase="stitch", what="block assembly")
-
-    if stats is not None:
-        stats.flops += total_flop
-        stats.spa_touches += total_flop
-        stats.masked_kept += kept_total
-        stats.output_nnz += nnz_total
-        stats.rows += nrows
-        if sort_output:
-            stats.sorted_elements += nnz_total
-
-    return CSR(
-        (nrows, ncols), indptr, out_indices, out_data, sorted_rows=sort_output
     )
 
 

@@ -589,7 +589,7 @@ def _inspect_blocks(
 
     The block loop of :func:`repro.core.hash_batch.batch_hash_spgemm`, the
     ESC kernel and the batched masked kernel (``mask``/``complement``: the
-    same membership filter), minus the value arithmetic: same blocks, same
+    same membership filter), minus the value arithmetic: same blocks, the
     stable coordinate sort, same output order — first occurrence, or the
     HashVector chunk-table order when ``vhash`` carries its
     ``(chunk_mask, cap_row, lanes)`` geometry.  Returns the output

@@ -44,6 +44,8 @@ __all__ = [
     "recommend",
     "recipe_table",
     "table4",
+    "table4_branch",
+    "Table4Branch",
 ]
 
 #: Registered algorithms no selector may ever pick, with why.  The paper's
@@ -149,33 +151,40 @@ class RecipeDecision:
     sorted_output: bool
 
 
-def table4(
+@dataclass(frozen=True)
+class Table4Branch:
+    """A Table-4 branch: its ``(algorithm, reason)`` verdicts at a
+    compression ratio ``flop / nnz(C)`` at most and above
+    :data:`HIGH_CR_THRESHOLD` (the same verdict twice when it does not
+    read the ratio)."""
+
+    flop: int
+    low: "tuple[str, str]"
+    high: "tuple[str, str]"
+
+    @property
+    def reads_cr(self) -> bool:
+        return self.low != self.high
+
+    def verdict(self, compression_ratio: float) -> "tuple[str, str]":
+        if compression_ratio > HIGH_CR_THRESHOLD:
+            return self.high
+        return self.low
+
+
+def table4_branch(
     a: CSR,
     b: CSR | None = None,
     *,
     sort_output: bool = True,
     operation: str = "square",
     synthetic: bool = False,
-    compression_ratio: float | None = None,
-) -> "tuple[str, str]":
-    """Table 4's ``(algorithm, reason)`` for ``C = A B``.
-
-    The one home of the Table-4 branches.  It reads only what the chosen
-    branch keys on: the compression ratio ``flop / nnz(C)`` — the one
-    feature that needs a symbolic pass over every intermediate product —
-    is computed only on the branches that read it (unsorted A×A on real
-    data, and L×U), unless the caller passes it as ``compression_ratio``.
-    Sorted A×A on real data is "Hash for any CR" and costs one flop count.
-    The other parameters are :func:`recommend`'s.
-    """
+) -> Table4Branch:
+    """The one home of the Table-4 branches; the caller supplies the
+    compression ratio (see :func:`table4`)."""
     if b is None:
         b = a
     flop = int(flop_per_row(a, b).sum())
-
-    def cr() -> float:
-        if compression_ratio is not None:
-            return compression_ratio
-        return flop / int(symbolic_row_nnz(a, b).sum())
 
     def dense_skewed() -> "tuple[bool, bool]":
         ef = a.nnz / a.nrows if a.nrows else 0.0
@@ -183,8 +192,11 @@ def table4(
 
     # Every verdict goes through decision(...): the kernel-dispatch lint
     # rule reads these calls to learn which algorithms Table 4 can name.
-    def decision(algorithm: str, reason: str) -> "tuple[str, str]":
-        return algorithm, reason
+    def decision(algorithm: str, reason: str) -> Table4Branch:
+        return Table4Branch(flop, (algorithm, reason), (algorithm, reason))
+
+    def by_cr(low: Table4Branch, high: Table4Branch) -> Table4Branch:
+        return Table4Branch(flop, low.low, high.high)
 
     # Degenerate product: zero multiplications means the compression ratio
     # flop/nnz(C) is 0/0 and every cost model prices every algorithm at 0.
@@ -198,9 +210,10 @@ def table4(
 
     if operation == "lxu":
         # Table 4(a), L x U row: Heap for low CR, Hash for high CR.
-        if cr() <= HIGH_CR_THRESHOLD:
-            return decision("heap", "Table 4(a): LxU with low compression ratio")
-        return decision("hash", "Table 4(a): LxU with high compression ratio")
+        return by_cr(
+            decision("heap", "Table 4(a): LxU with low compression ratio"),
+            decision("hash", "Table 4(a): LxU with high compression ratio"),
+        )
 
     if operation == "tallskinny":
         # Table 4(b) TallSkinny rows: Hash everywhere except dense+skewed
@@ -222,11 +235,41 @@ def table4(
     # Table 4(a): real data, keyed on compression ratio.
     if sort_output:
         return decision("hash", "Table 4(a): AxA sorted (Hash for any CR)")
-    if cr() > HIGH_CR_THRESHOLD:
-        return decision(
+    return by_cr(
+        decision("hash", "Table 4(a): AxA unsorted, low compression ratio"),
+        decision(
             "mkl_inspector", "Table 4(a): AxA unsorted, high compression ratio"
-        )
-    return decision("hash", "Table 4(a): AxA unsorted, low compression ratio")
+        ),
+    )
+
+
+def table4(
+    a: CSR,
+    b: CSR | None = None,
+    *,
+    sort_output: bool = True,
+    operation: str = "square",
+    synthetic: bool = False,
+    compression_ratio: float | None = None,
+) -> "tuple[str, str]":
+    """Table 4's ``(algorithm, reason)`` for ``C = A B``.
+
+    It reads only what the chosen branch keys on: the compression ratio
+    ``flop / nnz(C)`` — the one feature that needs a symbolic pass over
+    every intermediate product — is counted only on the branches that read
+    it (unsorted A×A on real data, and L×U), unless the caller passes it as
+    ``compression_ratio``.  The other parameters are :func:`recommend`'s.
+    """
+    if b is None:
+        b = a
+    branch = table4_branch(
+        a, b, sort_output=sort_output, operation=operation, synthetic=synthetic
+    )
+    if not branch.reads_cr:
+        return branch.low
+    if compression_ratio is None:
+        compression_ratio = branch.flop / int(symbolic_row_nnz(a, b).sum())
+    return branch.verdict(compression_ratio)
 
 
 def recommend(

@@ -27,7 +27,7 @@ from .engine import (
     resolve_engine,
 )
 from .esc_spgemm import esc_spgemm
-from .hash_batch import batch_hash_spgemm
+from .hash_batch import batch_hash_spgemm, batch_output_order
 from .hash_spgemm import hash_spgemm
 from .merge_spgemm import merge_spgemm
 from .hash_vector import hash_vector_spgemm
@@ -37,6 +37,7 @@ from ..observability import tracer_from_env
 from .kokkos_like import kokkos_proxy_spgemm
 from .mkl_like import mkl_inspector_spgemm, mkl_proxy_spgemm
 from .options import SpgemmOptions
+from .recipe import table4_branch
 from .scheduler import ThreadPartition
 from .spa_spgemm import spa_spgemm
 
@@ -246,17 +247,9 @@ def _spgemm_resolved(a: CSR, b: CSR, options: SpgemmOptions) -> CSR:
     plan-less algorithms, which is why it is factored out of :func:`spgemm`.
     """
     algorithm = options.algorithm
-    observe = None
+    observe = branch = None
     if algorithm == "auto":
-        # Calibrated selection when a profile is active (explicit on the
-        # options, or ambient); the static Table-4 recommend otherwise —
-        # resolve_auto's profile-absent path is exactly that call.
-        from ..autotune import resolve_auto  # deferred: autotune imports core
-
-        algorithm, observe = resolve_auto(
-            a, b, sort_output=options.sort_output,
-            profile=options.calibration,
-        )
+        algorithm, observe, branch = _resolve_auto(a, b, options)
     engine = resolve_engine(options.engine, algorithm)
     tracer = options.tracer
     if tracer is None:
@@ -285,6 +278,8 @@ def _spgemm_resolved(a: CSR, b: CSR, options: SpgemmOptions) -> CSR:
             vector_bits=options.vector_bits, tracer=tracer,
         )
         root.add_counter("nnz", float(c.nnz))
+        if branch is not None:
+            root.meta["algorithm"] = branch.verdict(branch.flop / c.nnz)[0]
         if stats is not None:
             # Counters and spans in one report: the KernelStats delta of
             # this call lands on the root span, and the traced phase times
@@ -297,6 +292,37 @@ def _spgemm_resolved(a: CSR, b: CSR, options: SpgemmOptions) -> CSR:
     if observe is not None:
         observe(time.perf_counter() - t0)
     return c
+
+
+def _resolve_auto(a: CSR, b: CSR, options: SpgemmOptions):
+    """Resolve ``algorithm="auto"`` to ``(algorithm, observe, branch)``.
+
+    A calibration profile or the faithful engine goes through
+    :func:`repro.autotune.resolve_auto`.  On the fast engine, when the
+    Table-4 branch keys on the compression ratio and both its verdicts run
+    one batched kernel with one output order, the kernel runs under either
+    and ``branch`` names the verdict from the result's exact ``flop /
+    nnz(C)`` — no symbolic pass.
+    """
+    from ..autotune import active_profile, resolve_auto  # deferred: autotune imports core
+
+    so = options.sort_output
+    if (
+        options.engine == "fast"
+        and options.calibration is None
+        and active_profile() is None
+    ):
+        branch = table4_branch(a, b, sort_output=so)
+        low, high = branch.low[0], branch.high[0]
+        if not branch.reads_cr:
+            return low, None, None
+        order = batch_output_order(low, so)
+        if order is not None and order == batch_output_order(high, so):
+            return low, None, branch
+    algorithm, observe = resolve_auto(
+        a, b, sort_output=so, profile=options.calibration
+    )
+    return algorithm, observe, None
 
 
 #: Traced phases mirrored into KernelStats wall-time counters.

@@ -57,6 +57,14 @@ MASK_TABLE_ENTRIES = 1 << 20
 #: and clear; sparser streams over wide masks use the sorted-key search.
 MASK_TABLE_MIN_PRODUCTS = 512
 
+#: Entries of the first-touch table (int64, 2 MiB): the vectorised SPA
+#: the batched kernels accumulate unsorted output through.
+TOUCH_TABLE_ENTRIES = 1 << 18
+
+#: Products a first-touch sub-block must hold on average to pay for its
+#: walk; sparser streams take the coordinate sort.
+TOUCH_TABLE_MIN_PRODUCTS = 1024
+
 
 def expand_structure(
     a: CSR,
@@ -157,6 +165,34 @@ def segment_mask(
     return out
 
 
+def _table_span(
+    n: int, nrows: int, ncols: int, entries: int, min_products: int
+) -> int:
+    """Rows per sub-block of a dense ``entries``-entry table over ``ncols``
+    columns, or 0 when one row does not fit or ``n`` products spread over
+    the ``nrows`` rows' sub-blocks average fewer than ``min_products``."""
+    span = min(entries // ncols, nrows) if ncols else 0
+    if span and n >= (-(-nrows // span) - 1) * min_products:
+        return span
+    return 0
+
+
+def _row_sub_blocks(
+    rows: np.ndarray, row_start: int, row_end: int, span: int
+) -> Iterator[Tuple[int, int, int]]:
+    """Walk ``[row_start, row_end)`` in sub-blocks of ``span`` rows.
+
+    ``rows`` holds absolute row indices in non-decreasing order, as the
+    expansion emits them.  Yields ``(s, ps, pe)`` for every sub-block that
+    has products: its first row and the range of its products in ``rows``.
+    """
+    firsts = range(row_start, row_end, span)
+    cuts = np.searchsorted(rows, [*firsts, row_end]).tolist()
+    for s, ps, pe in zip(firsts, cuts, cuts[1:]):
+        if ps < pe:
+            yield s, ps, pe
+
+
 def mask_membership(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -193,20 +229,20 @@ def mask_membership(
     if arena is None:
         arena = get_thread_arena()
     ncols = mask.ncols
-    nrows = row_end - row_start
-    span = min(MASK_TABLE_ENTRIES // ncols, nrows)
+    span = _table_span(
+        n, row_end - row_start, ncols, MASK_TABLE_ENTRIES,
+        MASK_TABLE_MIN_PRODUCTS,
+    )
     table = None
-    if span and n >= (-(-nrows // span) - 1) * MASK_TABLE_MIN_PRODUCTS:
+    if span:
         table = arena.take("mask_table", span * ncols, bool)
         table[:] = False
     else:
         span = max(1, (2**62) // ncols)
-    firsts = range(row_start, row_end, span)
-    cuts = np.searchsorted(rows, [*firsts, row_end]).tolist()
-    for s, ps, pe in zip(firsts, cuts, cuts[1:]):
+    for s, ps, pe in _row_sub_blocks(rows, row_start, row_end, span):
         e = min(s + span, row_end)
         lo, hi = int(m_indptr[s]), int(m_indptr[e])
-        if ps == pe or lo == hi:
+        if lo == hi:
             continue
         mkeys = np.repeat(
             np.arange(0, (e - s) * ncols, ncols, dtype=INDPTR_DTYPE),

@@ -123,7 +123,9 @@ class Semiring:
         also preserves ``-0.0`` and matters for non-``plus`` monoids on
         values below the identity), and every later value is applied with
         one ordered ``add`` via ``ufunc.at``, which processes its operands
-        in array order.
+        in array order.  The later values' segment ids are one
+        ``np.repeat`` of the segment numbers by run length minus one, read
+        off ``starts`` (no prefix sum over the mask).
 
         ``new_run`` is the boolean segment-start mask (``new_run[0]`` must
         be True); ``starts`` may pass ``np.flatnonzero(new_run)`` when the
@@ -133,11 +135,12 @@ class Semiring:
             return np.empty(0, dtype=values.dtype)
         if starts is None:
             starts = np.flatnonzero(new_run)
-        out = values[starts].copy()
+        out = values[starts]
         if len(values) > len(starts):
-            seg_ids = np.cumsum(new_run) - 1
-            rest = ~new_run
-            self.add.at(out, seg_ids[rest], values[rest])
+            later = np.diff(starts, append=len(values))
+            later -= 1
+            seg_ids = np.repeat(np.arange(len(starts)), later)
+            self.add.at(out, seg_ids, values[~new_run])
         return out
 
     def fold_ranks(

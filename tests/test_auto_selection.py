@@ -228,3 +228,64 @@ class TestEscUnchanged:
         wide = huge_columns(a, 1 << 62)
         got = esc_spgemm(a, wide)
         assert_identical(got, lexsort_esc(a, wide, "plus_times", 1 << 23))
+
+
+@pytest.fixture
+def nnz_counts(monkeypatch):
+    """Calls of the exact ``nnz(C)`` count from every selector module."""
+    import repro.core.recipe as recipe
+    import repro.perfmodel.quantities as quantities
+
+    calls = []
+    for module in (recipe, quantities):
+        def counting(a, b, *args, _real=module.symbolic_row_nnz, **kwargs):
+            calls.append(1)
+            return _real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(module, "symbolic_row_nnz", counting)
+    return calls
+
+
+class TestCompressionRatioFromResult:
+    """On the fast engine, unsorted ``auto`` runs its one batched kernel
+    and reads the compression ratio off the result: no symbolic pass, the
+    same bytes and the same verdict as resolving first."""
+
+    @pytest.mark.parametrize("name", sorted(OPERANDS))
+    def test_bytes_match_resolved_verdict(self, name, nnz_counts):
+        a = OPERANDS[name]()
+        got = spgemm(a, a, algorithm="auto", engine="fast", sort_output=False)
+        assert nnz_counts == []
+        verdict, _ = resolve_auto(a, a, sort_output=False)
+        ref = spgemm(a, a, algorithm=verdict, engine="fast", sort_output=False)
+        assert_identical(got, ref)
+
+    def test_faithful_engine_still_counts(self, nnz_counts):
+        a = OPERANDS["econ"]()
+        spgemm(a, a, algorithm="auto", engine="faithful", sort_output=False)
+        assert nnz_counts == [1]
+
+    def test_active_profile_still_counts(self, nnz_counts):
+        from repro.autotune import set_active_profile
+
+        from .test_autotune import make_profile
+
+        a = OPERANDS["er"]()
+        set_active_profile(make_profile())
+        spgemm(a, a, algorithm="auto", engine="fast", sort_output=False)
+        assert len(nnz_counts) >= 1
+
+    @pytest.mark.parametrize("name", sorted(OPERANDS))
+    @pytest.mark.parametrize("sort_output", [True, False])
+    def test_traced_span_names_the_verdict(self, name, sort_output):
+        from repro.observability import Tracer
+
+        a = OPERANDS[name]()
+        tracer = Tracer()
+        spgemm(
+            a, a, algorithm="auto", engine="fast", sort_output=sort_output,
+            tracer=tracer,
+        )
+        (root,) = tracer.spans
+        verdict, _ = resolve_auto(a, a, sort_output=sort_output)
+        assert root.meta["algorithm"] == verdict

@@ -131,6 +131,30 @@ class TestChainPlanner:
         assert np.array_equal(got.indices, ref.indices)
         assert np.array_equal(got.data.view(np.uint64), ref.data.view(np.uint64))
 
+    def test_stage_at_cr_two_is_low_cr(self):
+        """Table 4's CR boundary is a strict ``> 2``: an unsorted stage at
+        exactly flop/nnz = 2 runs ``hash``, whose first-touch order here
+        differs from ``hashvec``'s chunk order."""
+        from repro import CSR, spgemm
+
+        rng = np.random.default_rng(7)
+        cols = rng.permutation(64)[:40]  # one unsorted row pattern
+        a = CSR((6, 2), np.arange(0, 13, 2), np.tile([0, 1], 6), rng.random(12))
+        b = CSR((2, 64), np.array([0, 40, 80]), np.tile(cols, 2), rng.random(80))
+        plan = plan_chain([a, b])
+        assert plan.stages[-1].flop == 2 * plan.stages[-1].nnz
+        assert plan.stages[-1].algorithm == "hash"
+        got = multiply_chain(
+            [a, b], algorithm="auto", engine="auto", sort_output=False
+        )
+        runs = {
+            alg: spgemm(a, b, algorithm=alg, engine="fast", sort_output=False)
+            for alg in ("hash", "hashvec")
+        }
+        assert not np.array_equal(runs["hash"].indices, runs["hashvec"].indices)
+        assert np.array_equal(got.indices, runs["hash"].indices)
+        assert np.array_equal(got.data.view(np.uint64), runs["hash"].data.view(np.uint64))
+
 
 class TestAmg:
     @pytest.fixture(scope="class")

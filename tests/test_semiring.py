@@ -121,3 +121,48 @@ class TestSpecificSemirings:
                         acc += max(d[i, k], d[k, j])
                 expected[i, j] = acc
         np.testing.assert_allclose(c.to_dense(), expected)
+
+
+def _scalar_fold(sr, values, starts):
+    """Each segment folded left to right, one scalar ``add`` at a time."""
+    out = []
+    bounds = list(starts) + [len(values)]
+    for s, e in zip(bounds, bounds[1:]):
+        acc = values[s]
+        for v in values[s + 1 : e]:
+            acc = sr.add(acc, v)
+        out.append(acc)
+    return np.array(out, dtype=values.dtype)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sr", ALL, ids=lambda s: s.name)
+class TestAccumulateSegments:
+    """The ordered fold equals a scalar left-to-right fold, bit for bit."""
+
+    SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25])
+
+    @pytest.mark.parametrize(
+        "layout", ["mixed", "singletons", "one-segment", "empty"]
+    )
+    def test_matches_scalar_fold(self, sr, layout):
+        rng = np.random.default_rng(3)
+        n = {"mixed": 200, "singletons": 50, "one-segment": 80, "empty": 0}[layout]
+        values = rng.normal(size=n)
+        special = rng.random(n) < 0.3
+        values[special] = rng.choice(self.SPECIALS, int(special.sum()))
+        if layout == "mixed":
+            new_run = rng.random(n) < 0.2
+        else:
+            new_run = np.full(n, layout == "singletons")
+        if n:
+            new_run[0] = True
+        starts = np.flatnonzero(new_run)
+        got = sr.accumulate_segments(values, new_run)
+        np.testing.assert_array_equal(
+            got.view(np.uint64), _scalar_fold(sr, values, starts).view(np.uint64)
+        )
+        np.testing.assert_array_equal(
+            sr.accumulate_segments(values, new_run, starts).view(np.uint64),
+            got.view(np.uint64),
+        )
