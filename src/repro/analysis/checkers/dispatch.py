@@ -1,33 +1,23 @@
-"""Rule ``kernel-dispatch`` — the multi-kernel registration tables must agree.
+"""Rule ``kernel-dispatch`` — the algorithm table is well-formed.
 
 The paper's central engineering claim is that many SpGEMM kernels coexist
-behind one dispatch surface.  In this codebase that surface is split over
-three registration tables plus the kernel modules themselves, and they rot
-independently (a kernel registered in one table but forgotten in another is
-exactly how multi-kernel SpGEMM codebases decay — cf. KokkosKernels):
+behind one dispatch surface.  In this codebase that surface is one table,
+``ALGORITHMS`` in ``core/spgemm.py``: each Table-1 row carries its kernels,
+engine coverage, plan capability, output rule and what may select it, and
+dispatch, engine resolution, the plan layer and the selectors all read the
+row.  What can still drift is what the table is matched against:
 
-* ``core/spgemm.py`` — the Table-1 registry ``ALGORITHMS`` and the
-  ``spgemm()`` dispatch branches;
-* ``core/recipe.py`` — the Table-4 recipe: every registered algorithm must
-  be recommendable by some rule, listed in ``RECIPE_EXCLUDED`` with a
-  justification, or listed in ``AUTOTUNE_ONLY`` (pickable only by the
-  calibrated selector in ``repro.autotune``);
-* ``core/engine.py`` — the engine coverage partition: every registered
-  algorithm must appear in exactly one of ``FAST_ALGORITHMS``,
-  ``VECTORIZED_ALGORITHMS``, ``FAITHFUL_ONLY_ALGORITHMS``;
-* ``core/plan.py`` — the inspector–executor coverage partition: every
-  registered algorithm must appear in exactly one of ``PLAN_ALGORITHMS``
-  (has an ``inspect()``/``execute()`` split) or ``PLANLESS_ALGORITHMS``
-  (deliberately plan-free, with justification);
+* ``core/recipe.py`` — every Table-4 ``decision(...)`` must name a row
+  marked ``selected_by="table4"``, and every such row must be named by one;
 * every public ``*_spgemm(a, b, ...)`` entry point in ``core/`` must be
-  referenced by the dispatcher (or carry a
-  ``# repro-lint: disable=kernel-dispatch`` comment explaining why it is a
-  deliberately separate surface, e.g. ``masked_spgemm``).
+  some row's kernel (or carry a ``# repro-lint: disable=kernel-dispatch``
+  comment explaining why it is a deliberately separate surface, e.g.
+  ``masked_spgemm``).
 
 This is a *project-scope* checker: it activates only when the file set
 being analyzed contains ``core/spgemm.py`` (so linting a stray file or a
 test fixture tree does not demand the whole package), and it checks only
-the tables present in the set.
+the files present in the set.
 """
 
 from __future__ import annotations
@@ -35,104 +25,53 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import const_str_set, names_used
+from ..astutil import names_used
 from ..context import FileContext, ProjectContext
 from ..findings import Finding
 from ..registry import Checker, register
 
 
-def _assignment_value(tree: ast.Module, name: str) -> "tuple[ast.AST, int] | None":
-    """``(value, lineno)`` of a module-level ``name = ...`` assignment."""
+def _table_rows(tree: ast.Module) -> "dict[str, ast.expr]":
+    """``{algorithm: row expression}`` of the module-level ALGORITHMS dict."""
     for node in tree.body:
         if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return node.value, node.lineno
+            targets = node.targets
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name) and node.target.id == name:
-                return node.value, node.lineno
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "ALGORITHMS" for t in targets):
+            if not isinstance(node.value, ast.Dict):
+                return {}
+            return {
+                key.value: row
+                for key, row in zip(node.value.keys, node.value.values)
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            }
+    return {}
+
+
+def _selected_by(row: ast.expr) -> "str | None":
+    """The literal ``selected_by=`` keyword of a row constructor call."""
+    if isinstance(row, ast.Call):
+        for kw in row.keywords:
+            if kw.arg == "selected_by" and isinstance(kw.value, ast.Constant):
+                return kw.value.value
     return None
 
 
-def _registry_keys(tree: ast.Module) -> "tuple[dict[str, int], int]":
-    """``{algorithm: lineno}`` of the ALGORITHMS dict keys, plus its lineno."""
-    found = _assignment_value(tree, "ALGORITHMS")
-    if found is None:
-        return {}, 1
-    value, lineno = found
-    keys: "dict[str, int]" = {}
-    if isinstance(value, ast.Dict):
-        for key in value.keys:
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                keys[key.value] = key.lineno
-    return keys, lineno
-
-
-#: The recipe sentinel: resolved to a concrete algorithm before dispatch,
-#: deliberately absent from the Table-1 registry.
-_AUTO_SENTINEL = "auto"
-
-
-def _dispatch_strings(tree: ast.Module) -> "set[str]":
-    """Every algorithm name the dispatcher compares against.
-
-    Collects ``algorithm == "x"`` equality tests and
-    ``algorithm in ("x", "y")`` membership tests anywhere in the dispatch
-    module (the chain lives in ``spgemm()`` / ``_dispatch_kernel()``; both
-    branch styles appear).  The ``"auto"`` sentinel is not an algorithm
-    and is ignored.
-    """
-    out: "set[str]" = set()
+def _decisions(tree: ast.Module) -> "dict[str, int]":
+    """``{algorithm: lineno}`` of every ``decision("x", ...)`` call."""
+    out: "dict[str, int]" = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-            continue
-        if not (isinstance(node.left, ast.Name) and node.left.id == "algorithm"):
-            continue
-        comparator = node.comparators[0]
-        if isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-            if isinstance(comparator, ast.Constant) and isinstance(comparator.value, str):
-                out.add(comparator.value)
-        elif isinstance(node.ops[0], (ast.In, ast.NotIn)):
-            strs = const_str_set(comparator)
-            if strs:
-                out.update(value for value, _ in strs)
-    out.discard(_AUTO_SENTINEL)
-    return out
-
-
-def _recipe_recommendations(tree: ast.Module) -> "set[str]":
-    """Every algorithm name a Table-4 rule can return."""
-    out: "set[str]" = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
+        if not isinstance(node, ast.Call) or not node.args:
             continue
         callee = node.func
         name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
-        if name == "decision" and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                out.add(first.value)
-        elif name == "RecipeDecision":
-            for kw in node.keywords:
-                if (
-                    kw.arg == "algorithm"
-                    and isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, str)
-                ):
-                    out.add(kw.value.value)
+        first = node.args[0]
+        if name == "decision" and isinstance(first, ast.Constant) and isinstance(first.value, str):
+            out.setdefault(first.value, node.lineno)
     return out
-
-
-def _named_str_set(tree: ast.Module, name: str) -> "tuple[dict[str, int], int] | None":
-    """``({value: lineno}, set lineno)`` for a module-level string-set constant."""
-    found = _assignment_value(tree, name)
-    if found is None:
-        return None
-    value, lineno = found
-    strs = const_str_set(value)
-    if strs is None:
-        return None
-    return {v: ln for v, ln in strs}, lineno
 
 
 def _kernel_entry_points(ctx: FileContext) -> "Iterator[ast.FunctionDef]":
@@ -151,9 +90,9 @@ def _kernel_entry_points(ctx: FileContext) -> "Iterator[ast.FunctionDef]":
 class KernelDispatchChecker(Checker):
     rule = "kernel-dispatch"
     description = (
-        "SpGEMM kernels must be consistently registered across the Table-1 "
-        "registry, the spgemm() dispatch, the Table-4 recipe, and the "
-        "engine coverage map"
+        "The algorithm table must be well-formed: Table-4 rules name exactly "
+        "the rows marked selected_by=\"table4\", and every public kernel "
+        "entry point is some row's kernel"
     )
     scope = "project"
 
@@ -161,210 +100,52 @@ class KernelDispatchChecker(Checker):
         spgemm_ctx = project.by_suffix("core/spgemm.py")
         if spgemm_ctx is None or spgemm_ctx.tree is None:
             return
-        registered, registry_line = _registry_keys(spgemm_ctx.tree)
-        dispatched = _dispatch_strings(spgemm_ctx.tree)
-        yield from self._check_dispatch(spgemm_ctx, registered, registry_line, dispatched)
-        yield from self._check_entry_points(project, spgemm_ctx)
+        rows = _table_rows(spgemm_ctx.tree)
         recipe_ctx = project.by_suffix("core/recipe.py")
-        if recipe_ctx is not None and recipe_ctx.tree is not None and registered:
-            yield from self._check_recipe(recipe_ctx, registered)
-        engine_ctx = project.by_suffix("core/engine.py")
-        if engine_ctx is not None and engine_ctx.tree is not None and registered:
-            yield from self._check_engine_coverage(engine_ctx, registered)
-        plan_ctx = project.by_suffix("core/plan.py")
-        if plan_ctx is not None and plan_ctx.tree is not None and registered:
-            yield from self._check_plan_coverage(plan_ctx, registered)
+        if recipe_ctx is not None and recipe_ctx.tree is not None and rows:
+            yield from self._check_table4(spgemm_ctx, recipe_ctx, rows)
+        yield from self._check_entry_points(project, spgemm_ctx, rows)
 
-    # -- spgemm.py: registry vs dispatch branches ------------------------
-    def _check_dispatch(self, ctx, registered, registry_line, dispatched):
-        for alg in sorted(set(registered) - dispatched):
-            yield self.finding(
-                ctx,
-                registered[alg],
-                f"algorithm {alg!r} is registered in ALGORITHMS but spgemm() "
-                "has no dispatch branch for it — calls would hit the "
-                "registry/dispatch-mismatch assertion",
+    # -- recipe.py: Table-4 decisions vs rows marked "table4" ------------
+    def _check_table4(self, spgemm_ctx, recipe_ctx, rows):
+        named = _decisions(recipe_ctx.tree)
+        marked = {alg for alg, row in rows.items() if _selected_by(row) == "table4"}
+        for alg, line in sorted(named.items()):
+            if alg in marked:
+                continue
+            problem = (
+                "which is not in the ALGORITHMS table" if alg not in rows
+                else 'whose row is not marked selected_by="table4"'
             )
-        for alg in sorted(dispatched - set(registered)):
             yield self.finding(
-                ctx,
-                registry_line,
-                f"spgemm() dispatches algorithm {alg!r} which is not in the "
-                "ALGORITHMS registry — unreachable branch or missing "
-                "Table-1 row",
+                recipe_ctx,
+                line,
+                f"a Table-4 rule names algorithm {alg!r}, {problem} — "
+                "auto would pick what the table says Table 4 never picks",
+            )
+        for alg in sorted(marked - set(named)):
+            yield self.finding(
+                spgemm_ctx,
+                rows[alg].lineno,
+                f'algorithm {alg!r} is marked selected_by="table4" in '
+                "ALGORITHMS but no Table-4 rule names it — add the rule or "
+                'mark the row "calibrated" or "never"',
             )
 
-    # -- core/*.py: every public kernel entry point is dispatched --------
-    def _check_entry_points(self, project: ProjectContext, spgemm_ctx: FileContext):
-        referenced = names_used(spgemm_ctx.tree)
+    # -- core/*.py: every public kernel entry point is a row's kernel ----
+    def _check_entry_points(self, project: ProjectContext, spgemm_ctx, rows):
+        kernels: "set[str]" = set()
+        for row in rows.values():
+            kernels |= names_used(row)
         for ctx in project.in_dir("core"):
             if ctx is spgemm_ctx or ctx.tree is None:
                 continue
             for fn in _kernel_entry_points(ctx):
-                if fn.name not in referenced:
+                if fn.name not in kernels:
                     yield self.finding(
                         ctx,
                         fn.lineno,
-                        f"kernel entry point {fn.name}() is not referenced by "
-                        "the spgemm() dispatcher; register it in ALGORITHMS "
-                        "+ dispatch, or whitelist it as a deliberately "
-                        "separate surface",
+                        f"kernel entry point {fn.name}() is no row's kernel "
+                        "in the ALGORITHMS table; add a row for it, or "
+                        "whitelist it as a deliberately separate surface",
                     )
-
-    # -- recipe.py: Table-4 / autotune coverage --------------------------
-    def _check_recipe(self, ctx, registered):
-        recommended = _recipe_recommendations(ctx.tree)
-        excluded_info = _named_str_set(ctx.tree, "RECIPE_EXCLUDED")
-        if excluded_info is None:
-            excluded, excluded_line = {}, 1
-        else:
-            excluded, excluded_line = excluded_info
-        autotune_info = _named_str_set(ctx.tree, "AUTOTUNE_ONLY")
-        if autotune_info is None:
-            autotune, autotune_line = {}, excluded_line
-        else:
-            autotune, autotune_line = autotune_info
-        covered = recommended | set(excluded) | set(autotune)
-        for alg in sorted(set(registered) - covered):
-            yield self.finding(
-                ctx,
-                excluded_line,
-                f"registered algorithm {alg!r} is neither recommendable by "
-                "any Table-4 rule, nor listed in RECIPE_EXCLUDED, nor in "
-                "AUTOTUNE_ONLY — add a recipe rule or an explicit "
-                "exclusion/autotune entry with justification",
-            )
-        for alg in sorted(recommended & set(excluded)):
-            yield self.finding(
-                ctx,
-                excluded[alg],
-                f"algorithm {alg!r} is listed in RECIPE_EXCLUDED but a "
-                "Table-4 rule can still recommend it — the exclusion lies",
-            )
-        for alg in sorted(recommended & set(autotune)):
-            yield self.finding(
-                ctx,
-                autotune[alg],
-                f"algorithm {alg!r} is listed in AUTOTUNE_ONLY but a "
-                "Table-4 rule can still recommend it — it is not "
-                "autotune-only",
-            )
-        for alg in sorted(set(excluded) & set(autotune)):
-            yield self.finding(
-                ctx,
-                autotune[alg],
-                f"algorithm {alg!r} appears in both RECIPE_EXCLUDED and "
-                "AUTOTUNE_ONLY — the partition must be disjoint",
-            )
-        for alg in sorted(set(excluded) - set(registered)):
-            yield self.finding(
-                ctx,
-                excluded[alg],
-                f"RECIPE_EXCLUDED entry {alg!r} is not a registered "
-                "algorithm — stale exclusion",
-            )
-        for alg in sorted(set(autotune) - set(registered)):
-            yield self.finding(
-                ctx,
-                autotune[alg],
-                f"AUTOTUNE_ONLY entry {alg!r} is not a registered "
-                "algorithm — stale autotune claim",
-            )
-        for alg in sorted(recommended - set(registered)):
-            yield self.finding(
-                ctx,
-                excluded_line,
-                f"a Table-4 rule recommends {alg!r} which is not in the "
-                "ALGORITHMS registry — recommend() would hand spgemm() an "
-                "unknown algorithm",
-            )
-
-    # -- engine.py: coverage partition -----------------------------------
-    def _check_engine_coverage(self, ctx, registered):
-        sets = {}
-        line = 1
-        for set_name in (
-            "FAST_ALGORITHMS",
-            "VECTORIZED_ALGORITHMS",
-            "FAITHFUL_ONLY_ALGORITHMS",
-        ):
-            info = _named_str_set(ctx.tree, set_name)
-            if info is None:
-                yield self.finding(
-                    ctx,
-                    line,
-                    f"engine coverage set {set_name} is missing or not a "
-                    "literal set of algorithm names — the fast-engine "
-                    "coverage contract cannot be checked",
-                )
-                return
-            sets[set_name], line = info
-        for alg in sorted(registered):
-            owners = [name for name, members in sets.items() if alg in members]
-            if not owners:
-                yield self.finding(
-                    ctx,
-                    line,
-                    f"registered algorithm {alg!r} appears in no engine "
-                    "coverage set — declare it FAST, VECTORIZED, or "
-                    "FAITHFUL_ONLY so resolve_engine()'s fallback is a "
-                    "decision, not an accident",
-                )
-            elif len(owners) > 1:
-                yield self.finding(
-                    ctx,
-                    sets[owners[1]][alg],
-                    f"algorithm {alg!r} appears in multiple engine coverage "
-                    f"sets ({', '.join(owners)}) — the partition must be "
-                    "disjoint",
-                )
-        for set_name, members in sets.items():
-            for alg in sorted(set(members) - set(registered)):
-                yield self.finding(
-                    ctx,
-                    members[alg],
-                    f"{set_name} entry {alg!r} is not a registered algorithm "
-                    "— stale coverage claim",
-                )
-
-    # -- plan.py: inspector–executor coverage partition ------------------
-    def _check_plan_coverage(self, ctx, registered):
-        sets = {}
-        line = 1
-        for set_name in ("PLAN_ALGORITHMS", "PLANLESS_ALGORITHMS"):
-            info = _named_str_set(ctx.tree, set_name)
-            if info is None:
-                yield self.finding(
-                    ctx,
-                    line,
-                    f"plan coverage set {set_name} is missing or not a "
-                    "literal set of algorithm names — the inspector–executor "
-                    "coverage contract cannot be checked",
-                )
-                return
-            sets[set_name], line = info
-        for alg in sorted(registered):
-            owners = [name for name, members in sets.items() if alg in members]
-            if not owners:
-                yield self.finding(
-                    ctx,
-                    line,
-                    f"registered algorithm {alg!r} appears in no plan "
-                    "coverage set — declare it PLAN-capable or PLANLESS so "
-                    "inspect()'s rejection is a decision, not an accident",
-                )
-            elif len(owners) > 1:
-                yield self.finding(
-                    ctx,
-                    sets[owners[1]][alg],
-                    f"algorithm {alg!r} appears in both PLAN_ALGORITHMS and "
-                    "PLANLESS_ALGORITHMS — the partition must be disjoint",
-                )
-        for set_name, members in sets.items():
-            for alg in sorted(set(members) - set(registered)):
-                yield self.finding(
-                    ctx,
-                    members[alg],
-                    f"{set_name} entry {alg!r} is not a registered algorithm "
-                    "— stale coverage claim",
-                )

@@ -3,7 +3,7 @@
 :func:`recommend_calibrated` is the drop-in replacement for the static
 Table-4 :func:`repro.core.recipe.recommend`: same inputs, same
 :class:`~repro.core.recipe.RecipeDecision` result, but the verdict comes
-from pricing every non-excluded Table-1 algorithm through the machine's
+from pricing every selectable Table-1 algorithm through the machine's
 calibrated cost curves (exact symbolic quantities -> feature vector ->
 fitted coefficients -> predicted seconds), corrected by whatever the
 online refinement loop has learned.  With no profile available it *is*
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core.recipe import RECIPE_EXCLUDED, RecipeDecision, recommend, table4
+from ..core.recipe import RecipeDecision, recommend, table4
+from ..core.spgemm import ALGORITHMS
 from ..matrix.csr import CSR
 from ..matrix.stats import row_skew
 from ..perfmodel.cost import MODELED_ALGORITHMS, cost_features
@@ -38,12 +39,14 @@ __all__ = [
 def candidate_algorithms() -> "tuple[str, ...]":
     """Algorithms the calibrated selector may price, sorted.
 
-    Every modeled Table-1 algorithm except the
-    :data:`~repro.core.recipe.RECIPE_EXCLUDED` proxies — which leaves in
-    the :data:`~repro.core.recipe.AUTOTUNE_ONLY` set the static recipe
-    can never name (that is the point of calibrating).
+    Every modeled table row not marked ``selected_by="never"`` (the
+    behavioural proxies) — which includes the ``"calibrated"`` rows the
+    static recipe can never name (that is the point of calibrating).
     """
-    return tuple(sorted(set(MODELED_ALGORITHMS) - RECIPE_EXCLUDED))
+    return tuple(sorted(
+        name for name, info in ALGORITHMS.items()
+        if info.selected_by != "never" and name in MODELED_ALGORITHMS
+    ))
 
 
 def _pick(

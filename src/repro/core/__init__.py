@@ -40,8 +40,6 @@ from .engine import ENGINES, EngineInfo, ScratchArena, get_thread_arena
 from .hash_batch import batch_hash_spgemm
 from .options import ChainOptions, SpgemmOptions, options_from_wire
 from .plan import (
-    PLAN_ALGORITHMS,
-    PLANLESS_ALGORITHMS,
     MaskedSpgemmPlan,
     PlanCache,
     SpgemmPlan,
@@ -80,8 +78,6 @@ __all__ = [
     "SpgemmPlan",
     "MaskedSpgemmPlan",
     "PlanCache",
-    "PLAN_ALGORITHMS",
-    "PLANLESS_ALGORITHMS",
     "inspect",
     "inspect_masked",
     "structure_fingerprint",

@@ -24,10 +24,10 @@ shapes** (see ``docs/fusion.md``):
   (:meth:`CSR.row_block` views + :func:`repro.matrix.ops.vstack_rows`), so
   the full ``R · A`` is never resident at once.
 
-Each :class:`ChainPlan` node carries a :class:`StagePlan` with a per-stage
-algorithm choice derived from the symbolic quantities (the stage's
-compression ratio), used when the caller asks for ``algorithm="auto"``;
-``engine="auto"`` runs every stage on the batched engine.
+Each :class:`ChainPlan` node carries a :class:`StagePlan` with the stage's
+symbolic quantities.  ``algorithm="auto"`` resolves every stage the way a
+fresh :func:`repro.spgemm` call does; ``engine="auto"`` runs every stage on
+the batched engine.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from ..matrix.csr import CSR
 from ..matrix.ops import pattern, pattern_filter, vstack_rows
 from ..matrix.stats import total_flop
 from ..semiring import PLUS_TIMES, Semiring
+from .engine import resolve_engine
 from .masked import masked_spgemm
 from .options import ChainOptions
-from .recipe import HIGH_CR_THRESHOLD
 from .spgemm import spgemm
-from .symbolic import iter_row_blocks, structure_product
+from .symbolic import DEFAULT_MAX_BLOCK_FLOP, iter_row_blocks, structure_product
 
 __all__ = [
     "ChainPlan",
@@ -55,7 +55,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Per-stage execution choice of one chain node, from symbolic facts."""
+    """Symbolic facts of one chain node."""
 
     #: the nested order node this stage evaluates, e.g. ``(0, 1)``
     node: tuple
@@ -63,8 +63,6 @@ class StagePlan:
     flop: int
     #: output pattern nonzeros of this stage (unmasked)
     nnz: int
-    #: algorithm picked from the stage's compression ratio
-    algorithm: str
     #: True on the final stage when the chain carries a fused mask
     masked: bool = False
     #: output nonzeros after the mask (None when ``masked`` is False)
@@ -120,6 +118,10 @@ def plan_chain(
     :func:`~repro.core.symbolic.structure_product`.  With ``mask=``,
     the final stage is planned as a fused masked product and its
     ``masked_nnz`` records what fusion keeps off the output path.
+
+    On a flop tie the split with the longest left part wins, so a Galerkin
+    product ``R A Rᵀ`` with symmetric ``A`` gets the left-deep order the
+    streamed sandwich runs.
     """
     n = len(matrices)
     if n == 0:
@@ -165,7 +167,8 @@ def plan_chain(
                 worst_here = max(
                     worst_here, worst[(i, k)] + worst[(k + 1, j)] + step
                 )
-            flop, order, lp, rp = min(candidates, key=lambda t: t[0])
+            # reversed: the first minimum is then the left-deepest split
+            flop, order, lp, rp = min(reversed(candidates), key=lambda t: t[0])
             best[(i, j)] = (flop, order, structure_product(lp, rp))
             worst[(i, j)] = worst_here
     flop, order, _ = best[(0, n - 1)]
@@ -179,19 +182,8 @@ def plan_chain(
             return node, node, patterns[node]
         li, _, lp = walk(node[0])
         _, rj, rp = walk(node[1])
-        step = total_flop(lp, rp)
         pat = best[(li, rj)][2]
-        cr = step / max(pat.nnz, 1)
-        stages.append(
-            StagePlan(
-                node=node,
-                flop=step,
-                nnz=pat.nnz,
-                # Above Table 4's CR boundary collisions dominate and the
-                # vector-probing hash wins.
-                algorithm="hashvec" if cr > HIGH_CR_THRESHOLD else "hash",
-            )
-        )
+        stages.append(StagePlan(node=node, flop=total_flop(lp, rp), nnz=pat.nnz))
         return li, rj, pat
 
     root_pat = walk(order)[2] if not isinstance(order, int) else patterns[order]
@@ -203,7 +195,6 @@ def plan_chain(
         masked_nnz = pattern_filter(root_pat, mask, complement=complement).nnz
         stages[-1] = StagePlan(
             node=root.node, flop=root.flop, nnz=root.nnz,
-            algorithm=root.algorithm,
             masked=True, masked_nnz=masked_nnz,
         )
     elif sandwich:
@@ -238,11 +229,11 @@ def multiply_chain(
     ``mask`` (an operand, so not part of the options) gates the chain's
     *final* product through the fused
     :func:`repro.core.masked.masked_spgemm` (``complement`` as there) — the
-    unmasked result is never materialized.  ``algorithm="auto"`` takes
-    each stage's algorithm from the :class:`ChainPlan`'s symbolic
-    quantities instead of one global setting; ``engine="auto"`` runs every
-    stage on the batched ``"fast"`` engine (bit-identical to the faithful
-    one, and faster even on a stage of a few thousand flops).
+    unmasked result is never materialized.  ``algorithm`` goes to every
+    stage's :func:`repro.spgemm` call as given, so ``"auto"`` resolves each
+    stage exactly as a fresh call on its operands does; ``engine="auto"``
+    runs every stage on the batched ``"fast"`` engine (bit-identical to the
+    faithful one, and faster even on a stage of a few thousand flops).
 
     ``fuse`` controls the sandwich streaming tier: ``"auto"``/``"on"``
     stream a left-deep sorted triple product block-by-block through
@@ -268,7 +259,7 @@ def multiply_chain(
     semiring = options.semiring
     sort_output = options.sort_output
     nthreads = options.nthreads
-    engine = "fast" if options.engine == "auto" else options.engine
+    engine = resolve_engine(options.engine)
     complement = options.complement
     fuse = options.fuse
     plan = options.plan
@@ -293,22 +284,16 @@ def multiply_chain(
     if plan is None:
         planner = plan_chain if plan_cache is None else plan_cache.chain_plan
         plan = planner(matrices, mask=mask, complement=complement)
-    stage_map = {s.node: s for s in plan.stages}
-
-    def choose(node) -> str:
-        if algorithm != "auto":
-            return algorithm
-        st = stage_map.get(node)
-        return st.algorithm if st is not None else "hash"
-
     if (
         fuse != "off"
         and sort_output
         and n == 3
         and plan.order == ((0, 1), 2)
     ):
+        inner_flop = next((s.flop for s in plan.stages if s.node == (0, 1)), None)
         return _stream_sandwich(
-            matrices, choose=choose, engine=engine, mask=mask,
+            matrices, inner_flop=inner_flop,
+            algorithm=algorithm, engine=engine, mask=mask,
             complement=complement,
             semiring=semiring, nthreads=nthreads,
             plan_cache=plan_cache, tracer=tracer,
@@ -328,7 +313,7 @@ def multiply_chain(
             )
         return spgemm(
             left, right,
-            algorithm=choose(node), semiring=semiring,
+            algorithm=algorithm, semiring=semiring,
             sort_output=sort_output, nthreads=nthreads, engine=engine,
             plan_cache=plan_cache, tracer=tracer,
         )
@@ -339,7 +324,8 @@ def multiply_chain(
 def _stream_sandwich(
     matrices: "list[CSR]",
     *,
-    choose,
+    inner_flop: "int | None",
+    algorithm: str,
     engine: str,
     mask: CSR | None,
     complement: bool,
@@ -354,16 +340,21 @@ def _stream_sandwich(
     on row ``i`` of the left operand), so evaluating ``(M0 · M1) · M2`` on
     row-block views of ``M0`` and stacking yields the unfused sorted result
     bit-for-bit — while only one block of the intermediate is ever alive.
+    An intermediate of at most one block's flop (``inner_flop``, the
+    planned ``M0 · M1`` stage; None when the plan has no such stage) is one
+    block: it skips the per-row flop count and the stacking copy.
     """
     m0, m1, m2 = matrices
-    alg1 = choose((0, 1))
-    alg2 = choose(((0, 1), 2))
+    if inner_flop is not None and inner_flop <= DEFAULT_MAX_BLOCK_FLOP:
+        spans = [(0, m0.nrows)]
+    else:
+        spans = iter_row_blocks(m0, m1)
     blocks: "list[CSR]" = []
-    for r0, r1 in iter_row_blocks(m0, m1):
+    for r0, r1 in spans:
         left = m0.row_block(r0, r1)
         t = spgemm(
             left, m1,
-            algorithm=alg1, semiring=semiring, sort_output=True,
+            algorithm=algorithm, semiring=semiring, sort_output=True,
             nthreads=nthreads, engine=engine,
             plan_cache=plan_cache, tracer=tracer,
         )
@@ -380,12 +371,12 @@ def _stream_sandwich(
             blocks.append(
                 spgemm(
                     t, m2,
-                    algorithm=alg2, semiring=semiring, sort_output=True,
+                    algorithm=algorithm, semiring=semiring, sort_output=True,
                     nthreads=nthreads, engine=engine,
                     plan_cache=plan_cache, tracer=tracer,
                 )
             )
-    return vstack_rows(blocks)
+    return blocks[0] if len(blocks) == 1 else vstack_rows(blocks)
 
 
 def matrix_power(

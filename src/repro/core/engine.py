@@ -18,8 +18,9 @@ Every algorithm in the registry exists for two different jobs, and the
   width.
 
 The registry below is the plug-in point for future backends (sharded,
-cached, multi-process SUMMA): a backend registers an :class:`EngineInfo`
-and the capability set it covers, and :func:`repro.spgemm` routes to it.
+cached, multi-process SUMMA): a backend registers an :class:`EngineInfo`,
+and the algorithm table's rows (:data:`repro.core.spgemm.ALGORITHMS`) name
+the kernel it runs.
 
 Algorithms without a batched implementation (the Heap family and the
 ``mkl``/``kokkos`` proxies, whose element-level behaviour *is* their
@@ -45,9 +46,6 @@ from ..errors import ConfigError, invalid_choice
 __all__ = [
     "EngineInfo",
     "ENGINES",
-    "FAST_ALGORITHMS",
-    "VECTORIZED_ALGORITHMS",
-    "FAITHFUL_ONLY_ALGORITHMS",
     "available_engines",
     "resolve_engine",
     "ScratchArena",
@@ -77,7 +75,7 @@ class EngineInfo:
 
 
 #: Engine registry.  Future backends (sharding, caching, multi-process
-#: SUMMA) plug in here and claim a capability set.
+#: SUMMA) plug in here; table rows name the kernel each one runs.
 ENGINES: "dict[str, EngineInfo]" = {
     "faithful": EngineInfo(
         "faithful",
@@ -91,51 +89,32 @@ ENGINES: "dict[str, EngineInfo]" = {
     ),
 }
 
-#: Algorithms with a dedicated batched implementation in
-#: :mod:`repro.core.hash_batch` (bit-for-bit identical output).  The
-#: ``mkl_inspector`` proxy is one-phase SPA with unsorted output, so the
-#: batched SPA runs it.
-FAST_ALGORITHMS = frozenset({"hash", "hashvec", "spa", "mkl_inspector"})
-
-#: Algorithms that are already fully vectorized, so both engines run the
-#: same code path.
-VECTORIZED_ALGORITHMS = frozenset({"esc"})
-
-#: Algorithms that deliberately have *no* batched implementation and always
-#: run the faithful kernel: the Heap family's element-level merge order and
-#: the behavioural proxies' operation streams are their entire purpose.
-#: Every registered algorithm must appear in exactly one of the three
-#: coverage sets — the contract linter (rule ``kernel-dispatch``) and
-#: :func:`repro.core.spgemm._check_registry_coverage` both enforce the
-#: partition, so a new kernel cannot fall through ``resolve_engine`` by
-#: accident.
-FAITHFUL_ONLY_ALGORITHMS = frozenset({
-    "heap",
-    "merge",
-    "mkl",
-    "kokkos",
-    "blocked_spa",
-})
-
 
 def available_engines() -> "list[str]":
     """Engine names accepted by :func:`repro.spgemm`, in registry order."""
     return list(ENGINES)
 
 
-def resolve_engine(engine: str, algorithm: str) -> str:
+def resolve_engine(engine: str, algorithm: "str | None" = None) -> str:
     """Validate ``engine`` and return the engine that will actually run.
 
-    ``"fast"`` resolves to ``"faithful"`` for algorithms without a batched
-    implementation (heap/merge and the ``mkl``/``kokkos`` proxies — their
-    element-level behaviour is the point), and stays ``"fast"`` for the
-    hash family, SPA, ``mkl_inspector`` and the inherently-vectorized ESC.
+    ``"auto"`` (accepted on the chain and masked surfaces) means ``"fast"``.
+    ``"fast"`` resolves to ``"faithful"`` for an ``algorithm`` whose table
+    row has no fast kernel (heap/merge/blocked SPA and the ``mkl``/
+    ``kokkos`` proxies — their element-level behaviour is the point), and
+    stays ``"fast"`` for the hash family, SPA, ``mkl_inspector`` and the
+    inherently-vectorized ESC.
     """
-    if engine not in ENGINES:
+    if engine == "auto":
+        engine = "fast"
+    elif engine not in ENGINES:
         raise invalid_choice("engine", engine, available_engines())
-    if engine == "fast" and algorithm in (FAST_ALGORITHMS | VECTORIZED_ALGORITHMS):
-        return "fast"
-    return "faithful"
+    if engine == "fast" and algorithm is not None:
+        from .spgemm import ALGORITHMS  # deferred: spgemm's kernels import us
+
+        if ALGORITHMS[algorithm].fast_kernel is None:
+            return "faithful"
+    return engine
 
 
 class ScratchArena:

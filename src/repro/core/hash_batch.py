@@ -82,31 +82,7 @@ from .symbolic import (
     segment_mask,
 )
 
-__all__ = ["batch_hash_spgemm", "batch_output_order"]
-
-#: Algorithms this module implements (same names as the Table-1 registry),
-#: each mapped to ``(unsorted order, forced sort_output)``: the order the
-#: kernel's unsorted output reproduces, and the output order the kernel
-#: fixes (None: the caller's ``sort_output``).  The MKL inspector-executor
-#: proxy *is* one-phase SPA with unsorted harvest.
-BATCH_ALGORITHMS = {
-    "hash": ("first_touch", None),
-    "hashvec": ("hashvec", None),
-    "spa": ("first_touch", None),
-    "mkl_inspector": ("first_touch", False),
-}
-
-
-def batch_output_order(algorithm: str, sort_output: bool) -> "str | None":
-    """The output order the batched kernel gives ``algorithm``:
-    ``"sorted"``, ``"first_touch"`` or ``"hashvec"`` (None: not batched).
-    Two algorithms with one order produce the same bytes."""
-    if algorithm not in BATCH_ALGORITHMS:
-        return None
-    unsorted_order, forced = BATCH_ALGORITHMS[algorithm]
-    if forced is not None:
-        sort_output = forced
-    return "sorted" if sort_output else unsorted_order
+__all__ = ["batch_hash_spgemm"]
 
 
 def _coordinate_segments(
@@ -317,20 +293,25 @@ def batch_hash_spgemm(
     """Batched ``C = A (x) B`` — bit-identical to the faithful kernel.
 
     Parameters mirror :func:`repro.core.hash_spgemm.hash_spgemm`;
-    ``algorithm`` selects whose output conventions to reproduce
-    (a key of :data:`BATCH_ALGORITHMS`).  ``stats`` receives the coarse
-    ledger entries only (flop, output nnz, rows, sort volume) — per-probe
-    counts exist only on the faithful engine, by design.  With a ``tracer``,
+    ``algorithm`` selects whose output conventions to reproduce (a row
+    of :data:`repro.core.spgemm.ALGORITHMS` with a ``batch_order``).
+    ``stats`` receives the coarse ledger entries only (flop, output nnz,
+    rows, sort volume) — per-probe counts exist only on the faithful
+    engine, by design.  With a ``tracer``,
     per-block expand/bucket/reduce times accumulate into numeric/sort/stitch
     phase spans reported once at the end (like the ESC kernel).
     """
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    order = batch_output_order(algorithm, sort_output)
+    from .spgemm import ALGORITHMS  # deferred: spgemm imports this module
+
+    info = ALGORITHMS.get(algorithm)
+    order = None if info is None else info.batch_output_order(sort_output)
     if order is None:
+        batched = [name for name, row in ALGORITHMS.items() if row.batch_order]
         raise ConfigError(
             f"batch engine has no implementation for {algorithm!r}; "
-            f"available: {list(BATCH_ALGORITHMS)}"
+            f"available: {batched}"
         )
     if partition is not None and partition.nrows != a.nrows:
         raise ConfigError(
@@ -364,10 +345,10 @@ def _batch_blocks(
 
     Each flop-bounded row block is expanded, optionally gated by ``mask``
     membership (filtering keeps the arrival order), multiplied, grouped by
-    output coordinate, folded in arrival order and emitted in ``order`` (a
-    value of :func:`batch_output_order`; ``vhash`` carries the ``hashvec``
-    chunk geometry).  ``stats`` gets the coarse ledger entries, and with a
-    ``mask`` the evaluated and kept product counts.
+    output coordinate, folded in arrival order and emitted in ``order``
+    (``"sorted"``, ``"first_touch"`` or ``"hashvec"``; ``vhash`` carries
+    the ``hashvec`` chunk geometry).  ``stats`` gets the coarse ledger
+    entries, and with a ``mask`` the evaluated and kept product counts.
     """
     if arena is None:
         arena = get_thread_arena()

@@ -43,7 +43,7 @@ from ..errors import ConfigError, ShapeError
 from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 from ..observability import tracer_from_env
 from ..semiring import Semiring
-from .engine import ENGINES
+from .engine import resolve_engine
 from .hash_batch import _batch_blocks
 from .instrument import KernelStats
 from .options import ChainOptions
@@ -136,13 +136,9 @@ def masked_spgemm(  # repro-lint: disable=kernel-dispatch
     plan = options.plan
     plan_cache = options.plan_cache
     tracer = options.tracer
-    engine = "fast" if options.engine == "auto" else options.engine
+    engine = resolve_engine(options.engine)
     _check_shapes(a, b, mask)
     sr = options.semiring
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {engine!r}; available: {list(ENGINES)}"
-        )
     if plan is not None and not hasattr(plan, "execute"):
         raise ConfigError(
             f"masked_spgemm's plan must provide .execute(a, b, mask), "

@@ -18,9 +18,8 @@ that structure, then throw it away on every call.  This module keeps it:
   the structure check (one fingerprint per operand per call); chain plans
   are memoized there too.
 
-Two plan modes cover the plan-capable algorithms (the partition is
-enforced both at import time and by the ``kernel-dispatch`` contract
-linter):
+Two plan modes cover the plan-capable algorithms (the table rows of
+:data:`repro.core.spgemm.ALGORITHMS` marked ``planned``):
 
 * **batched** — ``engine="fast"`` hash/hashvec/spa, and ``esc`` on either
   engine.  The inspector caches, per flop-bounded row block, the gather
@@ -73,6 +72,7 @@ from .instrument import KernelStats
 from .options import SpgemmOptions
 from .scheduler import ThreadPartition, rows_to_threads
 from .spa_spgemm import spa_numeric
+from .spgemm import ALGORITHMS, _spgemm_resolved
 from .symbolic import (
     expand_structure,
     iter_row_blocks,
@@ -81,8 +81,6 @@ from .symbolic import (
 )
 
 __all__ = [
-    "PLAN_ALGORITHMS",
-    "PLANLESS_ALGORITHMS",
     "MaskedSpgemmPlan",
     "SpgemmPlan",
     "PlanCache",
@@ -91,59 +89,11 @@ __all__ = [
     "structure_fingerprint",
 ]
 
-#: Algorithms with an inspector–executor split: the two-phase hash family
-#: and SPA (both engines) plus the inherently two-phase ESC.
-PLAN_ALGORITHMS = frozenset({"hash", "hashvec", "spa", "esc"})
-
-#: Algorithms deliberately without a plan: the one-phase Heap/Merge designs
-#: have no symbolic artifact to cache (their accumulators discover structure
-#: and values together), and the behavioural proxies' operation streams are
-#: their entire purpose — caching would change what they measure.
-#: ``mkl_inspector`` is the *model* of an inspector, not a host for ours.
-PLANLESS_ALGORITHMS = frozenset({
-    "heap",
-    "merge",
-    "blocked_spa",
-    "mkl",
-    "mkl_inspector",
-    "kokkos",
-})
-
 #: Hits between calibrated re-evaluations of a cached ``"auto"`` entry
 #: (see :meth:`PlanCache._maybe_revisit`); low enough that serve-style
 #: repeated-structure traffic converges within a few hundred requests,
 #: high enough that the selector re-run is amortized noise.
 AUTO_REVISIT_PERIOD = 32
-
-
-def _check_plan_coverage() -> None:
-    """Fail import when the plan coverage sets drift from the registry.
-
-    Mirrors :func:`repro.core.spgemm._check_registry_coverage`: every
-    registered algorithm must be claimed by exactly one of
-    ``PLAN_ALGORITHMS`` / ``PLANLESS_ALGORITHMS``.  The contract linter
-    enforces the same partition statically.
-    """
-    from .spgemm import ALGORITHMS
-
-    registered = set(ALGORITHMS)
-    problems = []
-    overlap = PLAN_ALGORITHMS & PLANLESS_ALGORITHMS
-    if overlap:
-        problems.append(f"claimed by both plan coverage sets: {sorted(overlap)}")
-    missing = registered - PLAN_ALGORITHMS - PLANLESS_ALGORITHMS
-    if missing:
-        problems.append(f"in ALGORITHMS but no plan coverage set: {sorted(missing)}")
-    stale = (PLAN_ALGORITHMS | PLANLESS_ALGORITHMS) - registered
-    if stale:
-        problems.append(f"in a plan coverage set but unregistered: {sorted(stale)}")
-    if problems:
-        raise ConfigError(
-            "algorithm registry / plan coverage mismatch: " + "; ".join(problems)
-        )
-
-
-_check_plan_coverage()
 
 
 def structure_fingerprint(m: CSR) -> "tuple[int, int, int, int]":
@@ -508,8 +458,8 @@ def inspect(
 
     Accepts the same options surface as :func:`repro.spgemm` (an
     :class:`SpgemmOptions` and/or loose keywords).  ``algorithm="auto"``
-    resolves through the Table-4 recipe first; the resolved algorithm must
-    be plan-capable (:data:`PLAN_ALGORITHMS`), otherwise a
+    resolves through the Table-4 recipe first; the resolved algorithm's
+    table row must be ``planned``, otherwise a
     :class:`~repro.errors.ConfigError` explains the choices.
 
     If the options carry a ``stats`` collector, the inspection wall time is
@@ -534,10 +484,12 @@ def _inspect(a: CSR, b: CSR, options: SpgemmOptions, fps: tuple) -> SpgemmPlan:
             a, b, sort_output=options.sort_output,
             profile=options.calibration,
         )
-    if algorithm not in PLAN_ALGORITHMS:
+    info = ALGORITHMS[algorithm]
+    if not info.planned:
+        planned = sorted(name for name, row in ALGORITHMS.items() if row.planned)
         raise ConfigError(
             f"algorithm {algorithm!r} has no inspector–executor split; "
-            f"plan-capable algorithms: {sorted(PLAN_ALGORITHMS)}"
+            f"plan-capable algorithms: {planned}"
         )
     engine = resolve_engine(options.engine, algorithm)
     tracer = options.tracer if options.tracer is not None else tracer_from_env()
@@ -546,12 +498,12 @@ def _inspect(a: CSR, b: CSR, options: SpgemmOptions, fps: tuple) -> SpgemmPlan:
         "plan.inspect", phase="inspect",
         algorithm=algorithm, engine=engine, nrows=a.nrows,
     ):
-        if engine == "fast" or algorithm == "esc":
+        if engine == "fast" or info.engines == "both":
             # Mirrors batch_hash_spgemm (and the ESC kernel) step for step,
             # minus the value arithmetic.
-            sort_output = options.sort_output or algorithm == "esc"
+            sort_output = info.sorts(options.sort_output)
             vhash = None
-            if algorithm == "hashvec" and not sort_output:
+            if info.batch_output_order(sort_output) == "hashvec":
                 lanes = lanes_for_vector_bits(options.vector_bits)
                 vhash = (
                     *_vhash_geometry(
@@ -866,8 +818,6 @@ class PlanCache:
             entry = self._maybe_revisit(key, entry, a, b, options)
         if entry is not None:
             if isinstance(entry, str):  # plan-less algorithm marker
-                from .spgemm import _spgemm_resolved
-
                 return _spgemm_resolved(a, b, options.replace(algorithm=entry))
             # The key matched, which already proves the operands' structure.
             return entry._run(a, b, options.semiring, stats, options.tracer)
@@ -883,9 +833,7 @@ class PlanCache:
             with self._lock:
                 self._auto_hits[key] = 0
         t0 = time.perf_counter() if observe is not None else 0.0
-        if algorithm in PLANLESS_ALGORITHMS:
-            from .spgemm import _spgemm_resolved
-
+        if not ALGORITHMS[algorithm].planned:
             self._store(key, algorithm)
             c = _spgemm_resolved(a, b, options.replace(algorithm=algorithm))
         else:

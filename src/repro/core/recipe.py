@@ -39,48 +39,12 @@ __all__ = [
     "heap_cost_model",
     "hash_cost_model",
     "RecipeDecision",
-    "RECIPE_EXCLUDED",
-    "AUTOTUNE_ONLY",
     "recommend",
     "recipe_table",
     "table4",
     "table4_branch",
     "Table4Branch",
 ]
-
-#: Registered algorithms no selector may ever pick, with why.  The paper's
-#: recipe only names the per-scenario *winners* of its evaluation (hash,
-#: hashvec, heap, mkl_inspector); ``mkl``/``kokkos`` are behavioural proxies
-#: evaluated as comparators — selecting a proxy in production makes no sense
-#: when native kernels exist (``mkl_inspector`` is the single exception
-#: Table 4(a) names, because unsorted inspector-executor output is a mode
-#: the native kernels expose directly).
-#:
-#: The contract linter (rule ``kernel-dispatch``) enforces that every
-#: registered algorithm is recommendable by :func:`recommend`, listed here,
-#: or listed in :data:`AUTOTUNE_ONLY` — adding a kernel forces this decision
-#: explicitly.
-RECIPE_EXCLUDED = frozenset({
-    "mkl",
-    "kokkos",
-})
-
-#: Algorithms the static Table-4 recipe never names but the *calibrated*
-#: selector (``repro.autotune``) may pick when measured curves favour them:
-#:
-#: * ``spa``/``blocked_spa`` — dense-accumulator baselines; dominated by the
-#:   hash family on the paper's machines (cache-residency cliff, Fig. 12)
-#:   but competitive on small/dense problems other hosts may see;
-#: * ``esc`` — distributed/GPU-lineage kernel studied for SUMMA node-local
-#:   use (§5.7), outside Table 4's shared-memory scope;
-#: * ``merge`` — related-work extension (Gremse et al.), not in the paper's
-#:   evaluation at all.
-AUTOTUNE_ONLY = frozenset({
-    "spa",
-    "blocked_spa",
-    "esc",
-    "merge",
-})
 
 #: Table 4(a)'s compression-ratio threshold separating "high" from "low".
 HIGH_CR_THRESHOLD = 2.0
@@ -191,7 +155,8 @@ def table4_branch(
         return ef > DENSE_EF_THRESHOLD, row_skew(a) > SKEW_THRESHOLD
 
     # Every verdict goes through decision(...): the kernel-dispatch lint
-    # rule reads these calls to learn which algorithms Table 4 can name.
+    # rule matches these calls against the table rows marked
+    # selected_by="table4".
     def decision(algorithm: str, reason: str) -> Table4Branch:
         return Table4Branch(flop, (algorithm, reason), (algorithm, reason))
 

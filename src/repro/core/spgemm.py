@@ -1,33 +1,32 @@
-"""Uniform SpGEMM entry point and the algorithm registry (Table 1).
+"""Uniform SpGEMM entry point and the algorithm table (Table 1).
 
 :func:`spgemm` is the public one-call API: pick an algorithm by name (or let
 the Table-4 recipe pick), and the dispatcher handles each kernel's input
 requirements (e.g. sorting B for the Heap kernel) and output conventions.
 
-The registry :data:`ALGORITHMS` is the executable form of the paper's
-Table 1 ("Summary of SpGEMM codes studied in this paper").
+The table :data:`ALGORITHMS` is the executable form of the paper's Table 1
+("Summary of SpGEMM codes studied in this paper") and the one home of every
+per-algorithm fact: each row carries its kernels, which engines run it,
+whether it has a plan, what may select it and its output rule.  Dispatch,
+engine resolution, the plan layer, the selectors and the process pool all
+read the row.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
-from ..errors import ConfigError
 from ..matrix.csr import CSR
 from ..semiring import Semiring
 from .blocked_spa import blocked_spa_spgemm
-from .engine import (
-    FAITHFUL_ONLY_ALGORITHMS,
-    FAST_ALGORITHMS,
-    VECTORIZED_ALGORITHMS,
-    available_engines,
-    resolve_engine,
-)
+from .engine import available_engines, resolve_engine
 from .esc_spgemm import esc_spgemm
-from .hash_batch import batch_hash_spgemm, batch_output_order
+from .hash_batch import batch_hash_spgemm
 from .hash_spgemm import hash_spgemm
 from .merge_spgemm import merge_spgemm
 from .hash_vector import hash_vector_spgemm
@@ -53,20 +52,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgorithmInfo:
-    """One row of Table 1, plus dispatch metadata.
+    """One row of Table 1, plus everything the code acts on.
 
     Attributes
     ----------
     name:
-        Registry key.
+        Table key.
     phases:
         1 (one-phase, output buffers grow) or 2 (symbolic + numeric).
     accumulator:
         Human-readable accumulator description (Table 1 column).
     input_sorted:
-        ``"any"`` or ``"sorted"`` — what the kernel accepts.
+        ``"any"`` or ``"sorted"`` — what the kernel accepts as B; a
+        ``"sorted"`` row gets a sorted copy of an unsorted B.
     output_sorted:
-        ``"select"`` (caller chooses), ``"sorted"``, or ``"unsorted"``.
+        ``"select"`` (caller chooses), ``"sorted"``, or ``"unsorted"``
+        (see :meth:`sorts`).
+    kernel:
+        The faithful (scalar, instrumented) kernel.
+    selected_by:
+        What may pick the row for ``algorithm="auto"``: ``"table4"`` (a
+        Table-4 ``decision(...)`` names it; the calibrated selector prices
+        it too), ``"calibrated"`` (only the calibrated selector of
+        :mod:`repro.autotune`), or ``"never"`` (behavioural proxies, kept
+        as comparators).
+    fast_kernel:
+        The kernel ``engine="fast"`` runs: the batched
+        :func:`~repro.core.hash_batch.batch_hash_spgemm`, ``kernel`` itself
+        when one vectorized kernel serves both engines (ESC), or None when
+        the row is faithful-only (see :attr:`engines`).
+    batch_order:
+        The order the batched kernel's unsorted output reproduces
+        (``"first_touch"`` or ``"hashvec"``); None without a batched kernel.
+    planned:
+        Whether the row has an inspector–executor split
+        (:func:`repro.core.plan.inspect`).
     is_proxy:
         True for behavioural stand-ins for closed-source libraries.
     """
@@ -76,7 +96,35 @@ class AlgorithmInfo:
     accumulator: str
     input_sorted: str
     output_sorted: str
+    kernel: Callable
+    selected_by: str
+    fast_kernel: "Callable | None" = None
+    batch_order: "str | None" = None
+    planned: bool = False
     is_proxy: bool = False
+
+    @property
+    def engines(self) -> str:
+        """Engine coverage: ``"batched"``, ``"both"`` (one kernel for both
+        engines) or ``"faithful"`` (``engine="fast"`` falls back)."""
+        if self.fast_kernel is None:
+            return "faithful"
+        return "both" if self.fast_kernel is self.kernel else "batched"
+
+    def sorts(self, sort_output: bool) -> bool:
+        """Whether the output rows come out sorted for the caller's
+        ``sort_output`` — the result's ``sorted_rows`` flag."""
+        if self.output_sorted == "select":
+            return sort_output
+        return self.output_sorted == "sorted"
+
+    def batch_output_order(self, sort_output: bool) -> "str | None":
+        """The batched kernel's output order: ``"sorted"`` or
+        :attr:`batch_order` (None: no batched kernel).  Two rows with one
+        order produce the same bytes."""
+        if self.batch_order is None:
+            return None
+        return "sorted" if self.sorts(sort_output) else self.batch_order
 
     def table_row(self) -> str:
         """Format as a Table-1 style line."""
@@ -88,60 +136,72 @@ class AlgorithmInfo:
         )
 
 
-#: Executable registry mirroring Table 1 of the paper.
+#: Executable table mirroring Table 1 of the paper.  Rows without a
+#: ``fast_kernel`` are faithful-only: the Heap family's element-level merge
+#: order and the proxies' operation streams are their purpose.  Rows
+#: without a plan either have no symbolic artifact to cache (the one-phase
+#: Heap/Merge/blocked-SPA designs discover structure and values together)
+#: or are proxies whose measured behaviour a plan would change
+#: (``mkl_inspector`` is the *model* of an inspector, not a host for ours;
+#: it is one-phase SPA with an unsorted harvest, so the batched SPA runs
+#: it).
 ALGORITHMS: "dict[str, AlgorithmInfo]" = {
-    "hash": AlgorithmInfo("hash", 2, "Hash Table", "any", "select"),
-    "hashvec": AlgorithmInfo("hashvec", 2, "Hash Table (vec)", "any", "select"),
-    "heap": AlgorithmInfo("heap", 1, "Heap", "sorted", "sorted"),
-    "spa": AlgorithmInfo("spa", 1, "Dense SPA", "any", "select"),
-    "mkl": AlgorithmInfo("mkl", 2, "- (unknown)", "any", "select", is_proxy=True),
+    "hash": AlgorithmInfo(
+        "hash", 2, "Hash Table", "any", "select", kernel=hash_spgemm,
+        selected_by="table4", fast_kernel=batch_hash_spgemm,
+        batch_order="first_touch", planned=True,
+    ),
+    "hashvec": AlgorithmInfo(
+        "hashvec", 2, "Hash Table (vec)", "any", "select",
+        kernel=hash_vector_spgemm, selected_by="table4",
+        fast_kernel=batch_hash_spgemm, batch_order="hashvec", planned=True,
+    ),
+    "heap": AlgorithmInfo(
+        "heap", 1, "Heap", "sorted", "sorted", kernel=heap_spgemm,
+        selected_by="table4",
+    ),
+    # Dense-accumulator baseline: dominated by the hash family on the
+    # paper's machines (Fig. 12's cache-residency cliff) but competitive
+    # on small or dense problems other hosts may see.
+    "spa": AlgorithmInfo(
+        "spa", 1, "Dense SPA", "any", "select", kernel=spa_spgemm,
+        selected_by="calibrated", fast_kernel=batch_hash_spgemm,
+        batch_order="first_touch", planned=True,
+    ),
+    "mkl": AlgorithmInfo(
+        "mkl", 2, "- (unknown)", "any", "select", kernel=mkl_proxy_spgemm,
+        selected_by="never", is_proxy=True,
+    ),
+    # The one proxy Table 4(a) names: unsorted inspector-executor output is
+    # a mode the native kernels expose directly.
     "mkl_inspector": AlgorithmInfo(
-        "mkl_inspector", 1, "- (unknown)", "any", "unsorted", is_proxy=True
+        "mkl_inspector", 1, "- (unknown)", "any", "unsorted",
+        kernel=mkl_inspector_spgemm, selected_by="table4",
+        fast_kernel=batch_hash_spgemm, batch_order="first_touch",
+        is_proxy=True,
     ),
     "kokkos": AlgorithmInfo(
-        "kokkos", 2, "HashMap", "any", "unsorted", is_proxy=True
+        "kokkos", 2, "HashMap", "any", "unsorted", kernel=kokkos_proxy_spgemm,
+        selected_by="never", is_proxy=True,
     ),
-    "esc": AlgorithmInfo("esc", 2, "Sort+Reduce", "any", "sorted"),
+    # Distributed/GPU-lineage kernel studied for SUMMA node-local use
+    # (§5.7), outside Table 4's shared-memory scope; inherently vectorized.
+    "esc": AlgorithmInfo(
+        "esc", 2, "Sort+Reduce", "any", "sorted", kernel=esc_spgemm,
+        selected_by="calibrated", fast_kernel=esc_spgemm, planned=True,
+    ),
     # Extensions beyond the paper's Table 1, from its related-work section:
     # column-blocked SPA (Patwary et al. 2015) and iterative row merging
     # (ViennaCL / Gremse et al. 2015).
-    "blocked_spa": AlgorithmInfo("blocked_spa", 1, "Blocked SPA", "any", "sorted"),
-    "merge": AlgorithmInfo("merge", 1, "Merge Tree", "sorted", "sorted"),
+    "blocked_spa": AlgorithmInfo(
+        "blocked_spa", 1, "Blocked SPA", "any", "sorted",
+        kernel=blocked_spa_spgemm, selected_by="calibrated",
+    ),
+    "merge": AlgorithmInfo(
+        "merge", 1, "Merge Tree", "sorted", "sorted", kernel=merge_spgemm,
+        selected_by="calibrated",
+    ),
 }
-
-
-def _check_registry_coverage() -> None:
-    """Fail import when the engine coverage sets drift from the registry.
-
-    Every registered algorithm must be claimed by exactly one of
-    ``FAST_ALGORITHMS`` / ``VECTORIZED_ALGORITHMS`` /
-    ``FAITHFUL_ONLY_ALGORITHMS`` (see :mod:`repro.core.engine`).  The
-    contract linter checks the same partition statically; this runtime
-    twin makes the drift impossible to import, not just impossible to
-    merge.
-    """
-    coverage = (FAST_ALGORITHMS, VECTORIZED_ALGORITHMS, FAITHFUL_ONLY_ALGORITHMS)
-    problems = []
-    registered = set(ALGORITHMS)
-    claimed: "set[str]" = set()
-    for cover in coverage:
-        overlap = claimed & cover
-        if overlap:
-            problems.append(f"claimed by multiple engine sets: {sorted(overlap)}")
-        claimed |= cover
-    missing = registered - claimed
-    if missing:
-        problems.append(f"in ALGORITHMS but no engine coverage set: {sorted(missing)}")
-    stale = claimed - registered
-    if stale:
-        problems.append(f"in an engine coverage set but unregistered: {sorted(stale)}")
-    if problems:
-        raise ConfigError(
-            "algorithm registry / engine coverage mismatch: " + "; ".join(problems)
-        )
-
-
-_check_registry_coverage()
 
 
 def _debug_validate_enabled() -> bool:
@@ -202,9 +262,10 @@ def spgemm(a: CSR, b: CSR, opts: SpgemmOptions | None = None, **kwargs) -> CSR:
 
     Notes
     -----
-    Kernels with fixed output conventions override ``sort_output``:
-    ``heap``/``esc`` always return sorted rows; ``mkl_inspector``/``kokkos``
-    always return unsorted rows.  The Heap kernel needs sorted B; the
+    Rows with a fixed output convention override ``sort_output``
+    (:meth:`AlgorithmInfo.sorts`): ``heap``/``esc``/``merge``/
+    ``blocked_spa`` always return sorted rows, ``mkl_inspector``/``kokkos``
+    unsorted ones.  The Heap and Merge kernels need sorted B; the
     dispatcher sorts a copy transparently when needed (charging that cost is
     the perfmodel's job, mirroring the paper's fairness argument that
     sorted-input algorithms must emit sorted output).
@@ -316,8 +377,8 @@ def _resolve_auto(a: CSR, b: CSR, options: SpgemmOptions):
         low, high = branch.low[0], branch.high[0]
         if not branch.reads_cr:
             return low, None, None
-        order = batch_output_order(low, so)
-        if order is not None and order == batch_output_order(high, so):
+        order = ALGORITHMS[low].batch_output_order(so)
+        if order is not None and order == ALGORITHMS[high].batch_output_order(so):
             return low, None, branch
     algorithm, observe = resolve_auto(
         a, b, sort_output=so, profile=options.calibration
@@ -341,6 +402,12 @@ def _phase_seconds_into_stats(root, stats: KernelStats) -> None:
             setattr(stats, attr, getattr(stats, attr) + span.exclusive_seconds())
 
 
+@lru_cache(maxsize=None)
+def _parameters(kernel: Callable) -> "frozenset[str]":
+    """The keyword parameters a kernel accepts."""
+    return frozenset(inspect.signature(kernel).parameters)
+
+
 def _dispatch_kernel(
     algorithm: str,
     a: CSR,
@@ -355,74 +422,27 @@ def _dispatch_kernel(
     vector_bits: int,
     tracer=None,
 ) -> CSR:
-    """Route one (algorithm, engine) pair to its kernel (resolved inputs)."""
-    if engine == "fast" and algorithm in FAST_ALGORITHMS:
-        return batch_hash_spgemm(
-            a, b, algorithm=algorithm, semiring=semiring,
-            sort_output=sort_output, nthreads=nthreads, partition=partition,
-            stats=stats, vector_bits=vector_bits, tracer=tracer,
-        )
+    """Run the row's kernel for one resolved (algorithm, engine) pair.
 
-    if algorithm == "hash":
-        return hash_spgemm(
-            a, b, semiring=semiring, sort_output=sort_output,
-            nthreads=nthreads, partition=partition, stats=stats,
-            tracer=tracer,
-        )
-    if algorithm == "hashvec":
-        return hash_vector_spgemm(
-            a, b, semiring=semiring, sort_output=sort_output,
-            nthreads=nthreads, partition=partition, stats=stats,
-            vector_bits=vector_bits, tracer=tracer,
-        )
-    if algorithm == "heap":
-        if b.sorted_rows:
-            b_sorted = b
-        elif tracer is None:
-            b_sorted = b.sort_rows()
+    B is sorted first when the row needs sorted input, ``sort_output``
+    becomes the row's effective sortedness, and each kernel receives the
+    options its signature names.
+    """
+    info = ALGORITHMS[algorithm]
+    kernel = info.fast_kernel if engine == "fast" else info.kernel
+    if info.input_sorted == "sorted" and not b.sorted_rows:
+        if tracer is None:
+            b = b.sort_rows()
         else:
-            with tracer.span("sort_b", phase="sort", reason="heap needs sorted B"):
-                b_sorted = b.sort_rows()
-        return heap_spgemm(
-            a, b_sorted, semiring=semiring, sort_output=True,
-            nthreads=nthreads, partition=partition, stats=stats,
-            tracer=tracer,
-        )
-    if algorithm == "spa":
-        return spa_spgemm(
-            a, b, semiring=semiring, sort_output=sort_output,
-            nthreads=nthreads, partition=partition, stats=stats,
-            tracer=tracer,
-        )
-    if algorithm == "mkl":
-        return mkl_proxy_spgemm(
-            a, b, semiring=semiring, sort_output=sort_output,
-            nthreads=nthreads, partition=partition, stats=stats,
-        )
-    if algorithm == "mkl_inspector":
-        return mkl_inspector_spgemm(
-            a, b, semiring=semiring,
-            nthreads=nthreads, partition=partition, stats=stats,
-        )
-    if algorithm == "kokkos":
-        return kokkos_proxy_spgemm(
-            a, b, semiring=semiring,
-            nthreads=nthreads, partition=partition, stats=stats,
-        )
-    if algorithm == "esc":
-        return esc_spgemm(
-            a, b, semiring=semiring, sort_output=True, stats=stats,
-            tracer=tracer,
-        )
-    if algorithm == "blocked_spa":
-        return blocked_spa_spgemm(
-            a, b, semiring=semiring, sort_output=True,
-            nthreads=nthreads, partition=partition, stats=stats,
-        )
-    if algorithm == "merge":
-        b_sorted = b if b.sorted_rows else b.sort_rows()
-        return merge_spgemm(
-            a, b_sorted, semiring=semiring, sort_output=True,
-            nthreads=nthreads, partition=partition, stats=stats,
-        )
-    raise AssertionError(f"registry/dispatch mismatch for {algorithm!r}")
+            with tracer.span(
+                "sort_b", phase="sort", reason=f"{algorithm} needs sorted B"
+            ):
+                b = b.sort_rows()
+    options = {
+        "algorithm": algorithm, "semiring": semiring,
+        "sort_output": info.sorts(sort_output), "nthreads": nthreads,
+        "partition": partition, "stats": stats, "vector_bits": vector_bits,
+        "tracer": tracer,
+    }
+    accepted = _parameters(kernel)
+    return kernel(a, b, **{k: v for k, v in options.items() if k in accepted})

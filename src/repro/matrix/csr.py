@@ -317,8 +317,11 @@ class CSR:
 
         ``indices``/``data`` are *views* into the receiver (zero copy; only
         the rebased ``indptr`` is allocated), which is what lets the fused
-        chain executor stream a product block-by-block without duplicating
-        the operand.  The usual immutability contract covers the views.
+        chain executor stream a product block-by-block and the process pool
+        hand each worker its rows without duplicating the operand.  The
+        usual immutability contract covers the views.  A sorted receiver
+        yields sorted blocks for free; a block of an unsorted receiver is
+        re-detected, since its own rows may well be sorted.
         """
         if not (0 <= row_start <= row_end <= self.nrows):
             raise ShapeError(
@@ -332,7 +335,7 @@ class CSR:
             self.indptr[row_start : row_end + 1] - lo,
             self.indices[lo:hi],
             self.data[lo:hi],
-            sorted_rows=self.sorted_rows,
+            sorted_rows=True if self.sorted_rows else None,
         )
 
     # ------------------------------------------------------------------

@@ -35,12 +35,12 @@ import numpy as np
 from . import sanitizer as _sanitizer
 from ..core.options import SpgemmOptions
 from ..core.scheduler import rows_to_threads
-from ..core.spgemm import spgemm
+from ..core.spgemm import ALGORITHMS, spgemm
 from ..errors import ConfigError, ShapeError
 from ..observability import NULL_TRACER, Tracer, tracer_from_env
 from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 
-__all__ = ["parallel_spgemm", "row_block", "WorkerPool", "SHARE_MODES"]
+__all__ = ["parallel_spgemm", "WorkerPool", "SHARE_MODES"]
 
 try:  # pragma: no cover - import guard exercised implicitly
     from multiprocessing import shared_memory as _shm_module
@@ -52,28 +52,6 @@ SHARE_MODES = ("auto", "shm", "fork", "pickle")
 
 #: Shared-memory segment alignment for each packed array (cache line).
 _ALIGN = 64
-
-
-def row_block(a: CSR, start: int, end: int) -> CSR:
-    """The sub-matrix of rows ``[start, end)`` as a standalone CSR.
-
-    The block's ``sorted_rows`` flag carries per-block state: a sorted
-    parent yields sorted blocks for free, while a block cut from an
-    unsorted parent is re-detected — its own rows may well be sorted even
-    when some other row of the parent is not.
-    """
-    if not 0 <= start <= end <= a.nrows:
-        raise ConfigError(
-            f"row_block range [{start}, {end}) invalid for {a.nrows} rows"
-        )
-    lo, hi = int(a.indptr[start]), int(a.indptr[end])
-    return CSR(
-        (end - start, a.ncols),
-        a.indptr[start : end + 1] - a.indptr[start],
-        a.indices[lo:hi],
-        a.data[lo:hi],
-        sorted_rows=True if a.sorted_rows else None,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +252,7 @@ def _compute_block(
 ):
     wtracer = Tracer() if trace else None
     c = spgemm(
-        row_block(a, start, end), b,
+        a.row_block(start, end), b,
         algorithm=algorithm, semiring=semiring_name,
         sort_output=sort_output, engine=engine, tracer=wtracer,
     )
@@ -291,7 +269,7 @@ def _worker_shm(args):
         with wtracer.span("unpack", phase="unpack", transport="shm"):
             a, b = _unpack_shm(_attach_shm(shm_name), header)
     c = spgemm(
-        row_block(a, start, end), b,
+        a.row_block(start, end), b,
         algorithm=algorithm, semiring=sr_name,
         sort_output=sort_output, engine=engine, tracer=wtracer,
     )
@@ -500,7 +478,7 @@ def parallel_spgemm(
         else:  # pickle
             with obs.span("pack", phase="pack", transport="pickle"):
                 tasks = [
-                    (row_block(a, s, e), b,
+                    (a.row_block(s, e), b,
                      algorithm, sr.name, sort_output, engine, trace)
                     for s, e in work
                 ]
@@ -552,8 +530,10 @@ def parallel_spgemm(
         if san is not None:
             # Leak check + counters + report, then raise on any violation.
             san.finish(pool_span)
-    sortedness = sort_output or algorithm in ("heap", "esc")
-    return CSR((nrows, b.ncols), indptr, out_indices, out_data, sorted_rows=sortedness)
+    return CSR(
+        (nrows, b.ncols), indptr, out_indices, out_data,
+        sorted_rows=ALGORITHMS[algorithm].sorts(sort_output),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from ..apps.triangles import count_triangles, triangle_counts_per_vertex
 from ..autotune import active_profile
 from ..core.chain import multiply_chain
+from ..core.engine import resolve_engine
 from ..core.instrument import KernelStats
 from ..core.plan import PlanCache
 from ..errors import ConfigError, ReproError, invalid_choice
@@ -134,11 +135,11 @@ def _execute_job(server: "Server", payload: dict):
         result = {"c": csr_to_wire(c)}
     elif kind == "masked":
         options = job["options"]
-        engine = "fast" if options.engine == "auto" else options.engine
         c = server._plan_cache.execute_masked(
             job["a"], job["b"], job["mask"],
             semiring=options.semiring, complement=options.complement,
-            sort_output=options.sort_output, engine=engine,
+            sort_output=options.sort_output,
+            engine=resolve_engine(options.engine),
             nthreads=options.nthreads, stats=stats, tracer=wtracer,
         )
         result = {"c": csr_to_wire(c)}

@@ -1,8 +1,8 @@
-"""Fixture: a public kernel entry point the dispatcher never references.
+"""Fixture: a public kernel entry point that is no row's kernel.
 
 Expected findings in this file (1): ``fancy_spgemm`` matches the
-``*_spgemm(a, b, ...)`` entry-point shape but ``core/spgemm.py`` never
-mentions it.
+``*_spgemm(a, b, ...)`` entry-point shape but no row of the
+``core/spgemm.py`` table names it.
 """
 
 

@@ -1,16 +1,17 @@
-"""Fixture: broken Table-4 recipe coverage (3 findings).
+"""Fixture: Table-4 rules that disagree with the algorithm table (2 findings).
 
-* ``'ghost'`` is registered but neither recommendable nor excluded;
-* ``'hash'`` is excluded yet a rule still recommends it (contradiction);
-* ``'stale_alg'`` is excluded but not a registered algorithm (stale).
+* ``'phantom'`` is named by a rule but is not in the table;
+* ``'heap'`` is named by a rule but its row is marked ``"calibrated"``.
 """
-
-RECIPE_EXCLUDED = frozenset({"hash", "heap", "orphan", "stale_alg"})
 
 
 def decision(algorithm, why):
     return algorithm, why
 
 
-def recommend(a, b):
+def recommend(a, b, sort_output):
+    if a is None:
+        return decision("phantom", "unregistered algorithm")
+    if sort_output:
+        return decision("heap", "row not marked table4")
     return decision("hash", "compression ratio below threshold")

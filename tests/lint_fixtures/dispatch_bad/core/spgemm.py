@@ -1,29 +1,16 @@
-"""Fixture: registry/dispatch mismatches for the kernel-dispatch rule.
+"""Fixture: a malformed algorithm table for the kernel-dispatch rule.
 
-Expected findings in this file (2):
-
-* ``'ghost'`` is registered but has no dispatch branch;
-* ``'phantom'`` has a dispatch branch but is not registered.
+Expected finding in this file (1): ``'ghost'`` is marked Table-4
+selectable, but no Table-4 rule names it (see ``recipe.py`` for the
+rules that name rows they should not).
 """
 
-ALGORITHMS = {
-    "hash": "paper section IV-A",
-    "heap": "paper section II",
-    "ghost": "registered but never dispatched",
-    "orphan": "dispatched but missing from every engine coverage set",
-}
 
-
-def spgemm(a, b, algorithm="auto"):
-    if algorithm == "auto":
-        algorithm = "hash"
-    if algorithm == "hash":
-        return hash_spgemm(a, b)
-    if algorithm in ("heap", "orphan"):
-        return heap_spgemm(a, b)
-    if algorithm == "phantom":
-        return heap_spgemm(a, b)
-    raise ValueError(algorithm)
+class AlgorithmInfo:
+    def __init__(self, name, *, kernel, selected_by):
+        self.name = name
+        self.kernel = kernel
+        self.selected_by = selected_by
 
 
 def hash_spgemm(a, b):
@@ -32,3 +19,10 @@ def hash_spgemm(a, b):
 
 def heap_spgemm(a, b):
     return b
+
+
+ALGORITHMS = {
+    "hash": AlgorithmInfo("hash", kernel=hash_spgemm, selected_by="table4"),
+    "heap": AlgorithmInfo("heap", kernel=heap_spgemm, selected_by="calibrated"),
+    "ghost": AlgorithmInfo("ghost", kernel=hash_spgemm, selected_by="table4"),
+}

@@ -44,7 +44,10 @@ from repro.autotune import (
 )
 from repro.autotune.online import MAX_CORRECTION
 from repro.core import plan as plan_mod
-from repro.core.recipe import AUTOTUNE_ONLY, RECIPE_EXCLUDED
+from repro.core.spgemm import ALGORITHMS
+
+NEVER_SELECTED = {n for n, i in ALGORITHMS.items() if i.selected_by == "never"}
+CALIBRATED_ONLY = {n for n, i in ALGORITHMS.items() if i.selected_by == "calibrated"}
 from repro.matrix.stats import row_skew
 from repro.perfmodel.quantities import ProblemQuantities
 from repro.rmat import er_matrix
@@ -240,7 +243,7 @@ class TestCalibratedSelector:
         assert d.compression_ratio > 0 and d.skew >= 1.0
 
     def test_excluded_proxies_never_priced(self):
-        assert not set(candidate_algorithms()) & RECIPE_EXCLUDED
+        assert not set(candidate_algorithms()) & NEVER_SELECTED
         # Even a curve for an excluded proxy cannot make it win.
         p = make_profile()
         p.curves["mkl"] = AlgorithmCurve(
@@ -248,16 +251,16 @@ class TestCalibratedSelector:
             samples=1, rmse_seconds=0.0,
         )
         d = recommend_calibrated(er_matrix(7, 8, seed=3), profile=p)
-        assert d.algorithm not in RECIPE_EXCLUDED
+        assert d.algorithm not in NEVER_SELECTED
 
     def test_autotune_only_algorithms_reachable(self):
-        assert AUTOTUNE_ONLY <= set(candidate_algorithms())
+        assert CALIBRATED_ONLY <= set(candidate_algorithms())
         a = er_matrix(7, 8, seed=3)
         p = make_profile({"esc": 1e-6})
         d = recommend_calibrated(a, profile=p)
         assert d.algorithm == "esc"
         # ... which the static recipe can never name.
-        assert recommend(a).algorithm not in AUTOTUNE_ONLY
+        assert recommend(a).algorithm not in CALIBRATED_ONLY
 
     def test_degenerate_delegates_to_static_guard(self):
         empty = csr_from_dense(np.zeros((4, 4)))

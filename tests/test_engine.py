@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro import ConfigError, available_engines, csr_from_coo, csr_from_dense, spgemm
-from repro.core.engine import FAST_ALGORITHMS, ScratchArena, get_thread_arena
+from repro.core.engine import ScratchArena, get_thread_arena
 from repro.core.hash_batch import batch_hash_spgemm
+from repro.core.spgemm import ALGORITHMS
 from repro.rmat import er_matrix, g500_matrix
 from repro.semiring import SEMIRINGS
 
@@ -27,7 +28,7 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-FAST_KERNELS = tuple(sorted(FAST_ALGORITHMS))
+FAST_KERNELS = tuple(sorted(n for n, info in ALGORITHMS.items() if info.batch_order))
 
 
 def assert_identical(fast, faithful):
@@ -174,7 +175,6 @@ class TestEngineDispatch:
         m = small_square
         expected = m.to_dense() @ m.to_dense()
         for alg in ("heap", "esc", "merge", "kokkos"):
-            assert alg not in FAST_ALGORITHMS or alg == "esc"
             c = spgemm(m, m, algorithm=alg, engine="fast")
             np.testing.assert_allclose(c.to_dense(), expected, atol=1e-12)
 

@@ -235,6 +235,30 @@ class TestChainFusion:
         got = multiply_chain([r, a, p], mask=mask, algorithm=alg, engine=engine)
         assert_identical(got, pattern_filter(unfused, mask))
 
+    def test_multi_block_stream_bit_identical(self, monkeypatch):
+        """A sandwich streamed in several row blocks stacks to the unfused
+        product."""
+        import repro.core.chain as chain_mod
+        from repro.core.symbolic import iter_row_blocks
+
+        r = random_adjacency(30, 0.2, 3).row_block(0, 12)
+        a = random_adjacency(30, 0.2, 4)
+        p = transpose(r)
+        spans = []
+
+        def small_blocks(m0, m1):
+            spans.extend(iter_row_blocks(m0, m1, 8))
+            return iter(spans)
+
+        monkeypatch.setattr(chain_mod, "DEFAULT_MAX_BLOCK_FLOP", 0)
+        monkeypatch.setattr(chain_mod, "iter_row_blocks", small_blocks)
+        plan = plan_chain([r, a, p])
+        assert plan.order == ((0, 1), 2)
+        fused = multiply_chain([r, a, p], algorithm="hash", plan=plan)
+        assert len(spans) > 1
+        unfused = multiply_chain([r, a, p], algorithm="hash", plan=plan, fuse="off")
+        assert_identical(fused, unfused)
+
     def test_plan_carries_stages_and_fusable(self):
         r = random_adjacency(10, 0.3, 1).row_block(0, 4)
         a = random_adjacency(10, 0.3, 2)

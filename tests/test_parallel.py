@@ -6,22 +6,21 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro import ConfigError, ShapeError
+from repro import ConfigError, ShapeError, spgemm
 from repro.parallel import parallel_spgemm
-from repro.parallel.pool import row_block
 from repro.rmat import er_matrix, g500_matrix
 
 
 class TestRowBlock:
     def test_slice_matches_dense(self, medium_random):
-        blk = row_block(medium_random, 10, 25)
+        blk = medium_random.row_block(10, 25)
         np.testing.assert_allclose(
             blk.to_dense(), medium_random.to_dense()[10:25]
         )
         blk.validate()
 
     def test_empty_slice(self, medium_random):
-        blk = row_block(medium_random, 7, 7)
+        blk = medium_random.row_block(7, 7)
         assert blk.nrows == 0 and blk.nnz == 0
 
 
@@ -81,8 +80,8 @@ class TestParallelSpgemm:
 class TestRowBlockValidation:
     def test_bad_range_rejected(self, medium_random):
         for start, end in ((-1, 5), (5, 3), (0, medium_random.nrows + 1)):
-            with pytest.raises(ConfigError):
-                row_block(medium_random, start, end)
+            with pytest.raises(ShapeError):
+                medium_random.row_block(start, end)
 
     def test_block_of_unsorted_parent_redetects_sortedness(self):
         from repro import CSR
@@ -95,12 +94,43 @@ class TestRowBlockValidation:
             np.array([1.0, 2.0, 3.0, 4.0]),
         )
         assert not m.sorted_rows
-        assert row_block(m, 1, 2).sorted_rows
-        assert not row_block(m, 0, 1).sorted_rows
+        assert m.row_block(1, 2).sorted_rows
+        assert not m.row_block(0, 1).sorted_rows
 
     def test_block_of_sorted_parent_stays_sorted(self, medium_random):
         parent = medium_random.sort_rows()
-        assert row_block(parent, 3, 9).sorted_rows
+        assert parent.row_block(3, 9).sorted_rows
+
+
+class TestResultSortedness:
+    """The pool flags its result from the algorithm's table row, as the
+    serial call does."""
+
+    @pytest.mark.parametrize("algorithm", ["kokkos", "mkl_inspector"])
+    def test_unsorted_kernels_flag_unsorted(self, algorithm):
+        g = er_matrix(8, 8, seed=6)
+        c = parallel_spgemm(g, g, algorithm=algorithm, sort_output=True, nworkers=2)
+        assert not c.sorted_rows
+        assert not spgemm(g, g, algorithm=algorithm, sort_output=True).sorted_rows
+        c.validate()
+
+    @pytest.mark.parametrize("algorithm", ["merge", "blocked_spa"])
+    def test_sorted_kernels_flag_sorted(self, algorithm):
+        g = er_matrix(8, 8, seed=6)
+        c = parallel_spgemm(g, g, algorithm=algorithm, sort_output=False, nworkers=2)
+        assert c.sorted_rows
+        assert spgemm(g, g, algorithm=algorithm, sort_output=False).sorted_rows
+        c.validate()
+
+    def test_downstream_heap_product_matches_serial(self):
+        x = er_matrix(8, 8, seed=6)
+        pooled = parallel_spgemm(x, x, algorithm="kokkos", sort_output=True, nworkers=2)
+        serial = spgemm(x, x, algorithm="kokkos", sort_output=True)
+        got = spgemm(x, pooled, algorithm="heap")
+        want = spgemm(x, serial, algorithm="heap")
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestShareModes:
@@ -291,7 +321,7 @@ class TestReadOnlyOperands:
                 a.data[0] = 99.0
             # the paper's row-block cut still works on read-only operands
             # (indptr is rebased into a fresh array; indices/data stay views)
-            blk = row_block(a, 1, 3)
+            blk = a.row_block(1, 3)
             np.testing.assert_allclose(blk.to_dense(), m.to_dense()[1:3])
         finally:
             del a, b, blk  # views must die before the segment is released

@@ -31,8 +31,6 @@ from repro.core import chain as chain_mod
 from repro.core import plan as plan_mod
 from repro.core.instrument import KernelStats
 from repro.core.plan import (
-    PLAN_ALGORITHMS,
-    PLANLESS_ALGORITHMS,
     PlanCache,
     inspect as inspect_plan,
     structure_fingerprint,
@@ -49,7 +47,8 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-PLAN_KERNELS = tuple(sorted(PLAN_ALGORITHMS))
+PLAN_KERNELS = tuple(sorted(n for n, info in ALGORITHMS.items() if info.planned))
+PLANLESS_KERNELS = tuple(sorted(set(ALGORITHMS) - set(PLAN_KERNELS)))
 
 
 def assert_identical(got, want):
@@ -166,7 +165,7 @@ class TestPlanBitForBit:
     def test_auto_resolves_then_plans(self, medium_random):
         m = medium_random
         plan = inspect_plan(m, m, algorithm="auto")
-        assert plan.algorithm in PLAN_ALGORITHMS
+        assert plan.algorithm in PLAN_KERNELS
         assert_identical(
             plan.execute(m, m), spgemm(m, m, algorithm=plan.algorithm)
         )
@@ -202,13 +201,9 @@ class TestStructureValidation:
 
     def test_planless_algorithm_rejected(self, small_square):
         m = small_square
-        for alg in sorted(PLANLESS_ALGORITHMS):
+        for alg in PLANLESS_KERNELS:
             with pytest.raises(ConfigError, match="no inspector–executor split"):
                 inspect_plan(m, m, algorithm=alg)
-
-    def test_plan_coverage_partitions_registry(self):
-        assert PLAN_ALGORITHMS | PLANLESS_ALGORITHMS == set(ALGORITHMS)
-        assert not PLAN_ALGORITHMS & PLANLESS_ALGORITHMS
 
 
 # ---------------------------------------------------------------------------
