@@ -8,10 +8,10 @@ asserted bit-identical to it:
   larger than the adjacency that masks it, so fusion removes the dominant
   sort/write volume.  Measured on both engines over ER / G500 R-MAT graphs
   and Table-2 proxy shapes.
-* **Galerkin triple product** ``R·A·P`` — the fused chain tier (per-stage
-  algorithm/engine choices from the :class:`ChainPlan`'s symbolic
-  quantities, left-deep streaming, optional fused output mask) vs the
-  previous one-kernel-for-every-stage default.
+* **Galerkin triple product** ``R·A·P`` — the fused chain tier (every
+  stage resolves ``algorithm="auto"`` as a fresh call does, left-deep
+  streaming, optional fused output mask) vs the previous
+  one-kernel-for-every-stage default.
 
 The masked plan-cache probe demonstrates PlanCache participation: repeated
 same-structure masked products pay structure discovery once.
@@ -192,8 +192,7 @@ def test_fusion_record():
                 "plan_order": plan.render(["R", "A", "P"]),
                 "plan_fusable": plan.fusable,
                 "stages": [
-                    {"node": str(s.node), "flop": s.flop, "nnz": s.nnz,
-                     "algorithm": s.algorithm}
+                    {"node": str(s.node), "flop": s.flop, "nnz": s.nnz}
                     for s in plan.stages
                 ],
                 "cells": rap,

@@ -10,7 +10,8 @@ row.  What can still drift is what the table is matched against:
 * ``core/recipe.py`` — every Table-4 ``decision(...)`` must name a row
   marked ``selected_by="table4"``, and every such row must be named by one;
 * every public ``*_spgemm(a, b, ...)`` entry point in ``core/`` must be
-  some row's kernel (or carry a ``# repro-lint: disable=kernel-dispatch``
+  some row's kernel, named in a row or in the ``AlgorithmInfo`` class that
+  derives the batched kernel (or carry a ``# repro-lint: disable=kernel-dispatch``
   comment explaining why it is a deliberately separate surface, e.g.
   ``masked_spgemm``).
 
@@ -137,6 +138,10 @@ class KernelDispatchChecker(Checker):
         kernels: "set[str]" = set()
         for row in rows.values():
             kernels |= names_used(row)
+        for node in spgemm_ctx.tree.body:
+            # the row type derives the batched kernel every batch_order row runs
+            if isinstance(node, ast.ClassDef) and node.name == "AlgorithmInfo":
+                kernels |= names_used(node)
         for ctx in project.in_dir("core"):
             if ctx is spgemm_ctx or ctx.tree is None:
                 continue

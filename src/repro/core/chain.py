@@ -43,7 +43,7 @@ from .engine import resolve_engine
 from .masked import masked_spgemm
 from .options import ChainOptions
 from .spgemm import spgemm
-from .symbolic import DEFAULT_MAX_BLOCK_FLOP, iter_row_blocks, structure_product
+from .symbolic import iter_row_blocks, structure_product
 
 __all__ = [
     "ChainPlan",
@@ -340,17 +340,13 @@ def _stream_sandwich(
     on row ``i`` of the left operand), so evaluating ``(M0 · M1) · M2`` on
     row-block views of ``M0`` and stacking yields the unfused sorted result
     bit-for-bit — while only one block of the intermediate is ever alive.
-    An intermediate of at most one block's flop (``inner_flop``, the
-    planned ``M0 · M1`` stage; None when the plan has no such stage) is one
-    block: it skips the per-row flop count and the stacking copy.
+    ``inner_flop`` (the planned ``M0 · M1`` stage; None when the plan has
+    no such stage) spares the block walk its per-row flop count when the
+    intermediate fits one block.
     """
     m0, m1, m2 = matrices
-    if inner_flop is not None and inner_flop <= DEFAULT_MAX_BLOCK_FLOP:
-        spans = [(0, m0.nrows)]
-    else:
-        spans = iter_row_blocks(m0, m1)
     blocks: "list[CSR]" = []
-    for r0, r1 in spans:
+    for r0, r1 in iter_row_blocks(m0, m1, total_flop=inner_flop):
         left = m0.row_block(r0, r1)
         t = spgemm(
             left, m1,

@@ -72,7 +72,7 @@ from .instrument import KernelStats
 from .options import SpgemmOptions
 from .scheduler import ThreadPartition, rows_to_threads
 from .spa_spgemm import spa_numeric
-from .spgemm import ALGORITHMS, _spgemm_resolved
+from .spgemm import ALGORITHMS, _resolve_auto, _spgemm_resolved
 from .symbolic import (
     expand_structure,
     iter_row_blocks,
@@ -478,12 +478,7 @@ def _inspect(a: CSR, b: CSR, options: SpgemmOptions, fps: tuple) -> SpgemmPlan:
     t0 = time.perf_counter()
     algorithm = options.algorithm
     if algorithm == "auto":
-        from ..autotune import resolve_auto  # deferred: autotune imports core
-
-        algorithm, _ = resolve_auto(
-            a, b, sort_output=options.sort_output,
-            profile=options.calibration,
-        )
+        algorithm = _resolve_auto(a, b, options)[0]
     info = ALGORITHMS[algorithm]
     if not info.planned:
         planned = sorted(name for name, row in ALGORITHMS.items() if row.planned)
@@ -498,7 +493,7 @@ def _inspect(a: CSR, b: CSR, options: SpgemmOptions, fps: tuple) -> SpgemmPlan:
         "plan.inspect", phase="inspect",
         algorithm=algorithm, engine=engine, nrows=a.nrows,
     ):
-        if engine == "fast" or info.engines == "both":
+        if engine == "fast" or info.vectorized:
             # Mirrors batch_hash_spgemm (and the ESC kernel) step for step,
             # minus the value arithmetic.
             sort_output = info.sorts(options.sort_output)
@@ -824,12 +819,7 @@ class PlanCache:
         algorithm = options.algorithm
         observe = None
         if algorithm == "auto":
-            from ..autotune import resolve_auto  # deferred: autotune imports core
-
-            algorithm, observe = resolve_auto(
-                a, b, sort_output=options.sort_output,
-                profile=options.calibration,
-            )
+            algorithm, observe, _ = _resolve_auto(a, b, options)
             with self._lock:
                 self._auto_hits[key] = 0
         t0 = time.perf_counter() if observe is not None else 0.0
@@ -875,11 +865,7 @@ class PlanCache:
             self._auto_hits[key] = count
             if count % AUTO_REVISIT_PERIOD:
                 return entry
-        from ..autotune import resolve_auto
-
-        algorithm, _ = resolve_auto(
-            a, b, sort_output=options.sort_output, profile=options.calibration
-        )
+        algorithm = _resolve_auto(a, b, options)[0]
         current = entry if isinstance(entry, str) else entry.algorithm
         if algorithm == current:
             return entry

@@ -76,14 +76,15 @@ class AlgorithmInfo:
         it too), ``"calibrated"`` (only the calibrated selector of
         :mod:`repro.autotune`), or ``"never"`` (behavioural proxies, kept
         as comparators).
-    fast_kernel:
-        The kernel ``engine="fast"`` runs: the batched
-        :func:`~repro.core.hash_batch.batch_hash_spgemm`, ``kernel`` itself
-        when one vectorized kernel serves both engines (ESC), or None when
-        the row is faithful-only (see :attr:`engines`).
     batch_order:
-        The order the batched kernel's unsorted output reproduces
-        (``"first_touch"`` or ``"hashvec"``); None without a batched kernel.
+        The order the batched
+        :func:`~repro.core.hash_batch.batch_hash_spgemm` reproduces when it
+        runs the row's unsorted output (``"first_touch"`` or
+        ``"hashvec"``); None when the batched kernel does not run the row.
+    vectorized:
+        True when ``kernel`` itself is vectorized and serves both engines
+        (ESC).  A row with neither this nor a ``batch_order`` is
+        faithful-only (see :attr:`fast_kernel`).
     planned:
         Whether the row has an inspector–executor split
         (:func:`repro.core.plan.inspect`).
@@ -98,18 +99,18 @@ class AlgorithmInfo:
     output_sorted: str
     kernel: Callable
     selected_by: str
-    fast_kernel: "Callable | None" = None
     batch_order: "str | None" = None
+    vectorized: bool = False
     planned: bool = False
     is_proxy: bool = False
 
     @property
-    def engines(self) -> str:
-        """Engine coverage: ``"batched"``, ``"both"`` (one kernel for both
-        engines) or ``"faithful"`` (``engine="fast"`` falls back)."""
-        if self.fast_kernel is None:
-            return "faithful"
-        return "both" if self.fast_kernel is self.kernel else "batched"
+    def fast_kernel(self) -> "Callable | None":
+        """The kernel ``engine="fast"`` runs; None for a faithful-only row
+        (``engine="fast"`` falls back to ``kernel``)."""
+        if self.batch_order is not None:
+            return batch_hash_spgemm
+        return self.kernel if self.vectorized else None
 
     def sorts(self, sort_output: bool) -> bool:
         """Whether the output rows come out sorted for the caller's
@@ -137,7 +138,7 @@ class AlgorithmInfo:
 
 
 #: Executable table mirroring Table 1 of the paper.  Rows without a
-#: ``fast_kernel`` are faithful-only: the Heap family's element-level merge
+#: ``batch_order`` or ``vectorized`` are faithful-only: the Heap family's element-level merge
 #: order and the proxies' operation streams are their purpose.  Rows
 #: without a plan either have no symbolic artifact to cache (the one-phase
 #: Heap/Merge/blocked-SPA designs discover structure and values together)
@@ -148,13 +149,12 @@ class AlgorithmInfo:
 ALGORITHMS: "dict[str, AlgorithmInfo]" = {
     "hash": AlgorithmInfo(
         "hash", 2, "Hash Table", "any", "select", kernel=hash_spgemm,
-        selected_by="table4", fast_kernel=batch_hash_spgemm,
-        batch_order="first_touch", planned=True,
+        selected_by="table4", batch_order="first_touch", planned=True,
     ),
     "hashvec": AlgorithmInfo(
         "hashvec", 2, "Hash Table (vec)", "any", "select",
         kernel=hash_vector_spgemm, selected_by="table4",
-        fast_kernel=batch_hash_spgemm, batch_order="hashvec", planned=True,
+        batch_order="hashvec", planned=True,
     ),
     "heap": AlgorithmInfo(
         "heap", 1, "Heap", "sorted", "sorted", kernel=heap_spgemm,
@@ -165,8 +165,7 @@ ALGORITHMS: "dict[str, AlgorithmInfo]" = {
     # on small or dense problems other hosts may see.
     "spa": AlgorithmInfo(
         "spa", 1, "Dense SPA", "any", "select", kernel=spa_spgemm,
-        selected_by="calibrated", fast_kernel=batch_hash_spgemm,
-        batch_order="first_touch", planned=True,
+        selected_by="calibrated", batch_order="first_touch", planned=True,
     ),
     "mkl": AlgorithmInfo(
         "mkl", 2, "- (unknown)", "any", "select", kernel=mkl_proxy_spgemm,
@@ -177,8 +176,7 @@ ALGORITHMS: "dict[str, AlgorithmInfo]" = {
     "mkl_inspector": AlgorithmInfo(
         "mkl_inspector", 1, "- (unknown)", "any", "unsorted",
         kernel=mkl_inspector_spgemm, selected_by="table4",
-        fast_kernel=batch_hash_spgemm, batch_order="first_touch",
-        is_proxy=True,
+        batch_order="first_touch", is_proxy=True,
     ),
     "kokkos": AlgorithmInfo(
         "kokkos", 2, "HashMap", "any", "unsorted", kernel=kokkos_proxy_spgemm,
@@ -188,7 +186,7 @@ ALGORITHMS: "dict[str, AlgorithmInfo]" = {
     # (§5.7), outside Table 4's shared-memory scope; inherently vectorized.
     "esc": AlgorithmInfo(
         "esc", 2, "Sort+Reduce", "any", "sorted", kernel=esc_spgemm,
-        selected_by="calibrated", fast_kernel=esc_spgemm, planned=True,
+        selected_by="calibrated", vectorized=True, planned=True,
     ),
     # Extensions beyond the paper's Table 1, from its related-work section:
     # column-blocked SPA (Patwary et al. 2015) and iterative row merging
@@ -363,7 +361,10 @@ def _resolve_auto(a: CSR, b: CSR, options: SpgemmOptions):
     Table-4 branch keys on the compression ratio and both its verdicts run
     one batched kernel with one output order, the kernel runs under either
     and ``branch`` names the verdict from the result's exact ``flop /
-    nnz(C)`` — no symbolic pass.
+    nnz(C)`` — no symbolic pass.  The low verdict runs (``hash``, which has
+    a plan), and the plan layer resolves ``auto`` here too, so a
+    :class:`~repro.core.plan.PlanCache` replays such a product
+    numeric-only.
     """
     from ..autotune import active_profile, resolve_auto  # deferred: autotune imports core
 

@@ -296,16 +296,21 @@ def masked_row_nnz(
 
 
 def iter_row_blocks(
-    a: CSR, b: CSR, max_block_flop: int = DEFAULT_MAX_BLOCK_FLOP
+    a: CSR,
+    b: CSR,
+    max_block_flop: int = DEFAULT_MAX_BLOCK_FLOP,
+    *,
+    total_flop: "int | None" = None,
 ) -> Iterator[Tuple[int, int]]:
     """Yield ``(row_start, row_end)`` blocks whose expansion stays bounded.
 
     A single row whose flop exceeds the cap still forms its own block (the
-    cap is a soft target, correctness first).
+    cap is a soft target, correctness first).  A known ``total_flop`` within
+    the cap yields the one block without counting flop per row.
     """
     n = a.nrows
-    if n == 0:
-        yield 0, 0
+    if n == 0 or (total_flop is not None and total_flop <= max_block_flop):
+        yield 0, n
         return
     csum = np.cumsum(flop_per_row(a, b))
     start = 0

@@ -35,7 +35,7 @@ import numpy as np
 from . import sanitizer as _sanitizer
 from ..core.options import SpgemmOptions
 from ..core.scheduler import rows_to_threads
-from ..core.spgemm import ALGORITHMS, spgemm
+from ..core.spgemm import ALGORITHMS, _resolve_auto, spgemm
 from ..errors import ConfigError, ShapeError
 from ..observability import NULL_TRACER, Tracer, tracer_from_env
 from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
@@ -322,9 +322,9 @@ def parallel_spgemm(
     or both — keywords override the options object's fields, validated by
     :meth:`SpgemmOptions.from_kwargs`.  ``algorithm`` defaults to ``"esc"``
     here (not ``"auto"``); an explicit ``"auto"`` resolves once, on the
-    full operands, before dispatch, through
-    :func:`repro.autotune.resolve_auto` (a calibration profile, explicit or
-    active, else the Table-4 recipe).  The
+    full operands, before dispatch, as a fresh :func:`repro.spgemm` call
+    resolves it (a calibration profile, explicit or active, else the
+    Table-4 recipe).  The
     process-local fields ``partition``, ``stats``, ``plan`` and
     ``plan_cache`` are not supported across the process boundary and raise
     :class:`~repro.errors.ConfigError`; ``nthreads`` is ignored (``nworkers``
@@ -373,15 +373,9 @@ def parallel_spgemm(
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
     if options.algorithm == "auto":
-        from ..autotune import resolve_auto  # deferred: autotune imports core
-
         # The refiner's observe callback is dropped: the curves price one
         # process at the profile's thread count, not this pool's wall time.
-        algorithm, _ = resolve_auto(
-            a, b, sort_output=options.sort_output,
-            profile=options.calibration,
-        )
-        options = options.replace(algorithm=algorithm)
+        options = options.replace(algorithm=_resolve_auto(a, b, options)[0])
     algorithm = options.algorithm
     sr = options.semiring
     sort_output = options.sort_output

@@ -12,7 +12,8 @@ import pytest
 from repro import ConfigError, spgemm
 from repro.autotune import candidate_algorithms
 from repro.core.engine import available_engines, resolve_engine
-from repro.core.plan import PlanCache, inspect
+from repro.core.plan import PlanCache, SpgemmPlan, inspect
+from repro.core.recipe import recommend
 from repro.core.spgemm import ALGORITHMS
 from repro.rmat import er_matrix
 
@@ -57,7 +58,7 @@ def test_row_drives_call(operands, algorithm, engine, sort_output):
     c = spgemm(a, b, algorithm=algorithm, engine=engine, sort_output=sort_output)
     assert c.sorted_rows == info.sorts(sort_output)
     c.validate()  # the flag is truthful
-    expected = "faithful" if info.engines == "faithful" else engine
+    expected = "faithful" if info.fast_kernel is None else engine
     assert resolve_engine(engine, algorithm) == expected
     if not info.planned:
         with pytest.raises(ConfigError, match="no inspector–executor split"):
@@ -78,10 +79,25 @@ def test_row_fields_take_known_values():
         assert info.input_sorted in ("any", "sorted")
         assert info.output_sorted in ("select", "sorted", "unsorted")
         assert info.selected_by in ("table4", "calibrated", "never")
-        assert (info.batch_order is not None) == (info.engines == "batched")
 
 
 def test_selectors_read_the_row():
     never = {n for n, i in ALGORITHMS.items() if i.selected_by == "never"}
     assert never == {"mkl", "kokkos"}
     assert set(candidate_algorithms()) == set(ALGORITHMS) - never
+
+
+def test_plan_cache_auto_keeps_a_plan_at_high_cr():
+    """Unsorted high-CR ``auto`` on the fast engine runs the batched kernel
+    under either Table-4 verdict; the cache resolves it as a fresh call
+    does, to the verdict with a plan, and replays it numeric-only."""
+    a = er_matrix(7, 16, seed=5)
+    assert recommend(a, sort_output=False).algorithm == "mkl_inspector"
+    kw = dict(algorithm="auto", engine="fast", sort_output=False)
+    cache = PlanCache()
+    assert_identical(spgemm(a, a, plan_cache=cache, **kw), spgemm(a, a, **kw))
+    (entry,) = cache._entries.values()
+    assert isinstance(entry, SpgemmPlan)
+    a2 = revalue(a, 4)
+    assert_identical(spgemm(a2, a2, plan_cache=cache, **kw), spgemm(a2, a2, **kw))
+    assert cache.hits == 1

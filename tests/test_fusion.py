@@ -246,11 +246,10 @@ class TestChainFusion:
         p = transpose(r)
         spans = []
 
-        def small_blocks(m0, m1):
-            spans.extend(iter_row_blocks(m0, m1, 8))
+        def small_blocks(m0, m1, total_flop=None):
+            spans.extend(iter_row_blocks(m0, m1, 8, total_flop=total_flop))
             return iter(spans)
 
-        monkeypatch.setattr(chain_mod, "DEFAULT_MAX_BLOCK_FLOP", 0)
         monkeypatch.setattr(chain_mod, "iter_row_blocks", small_blocks)
         plan = plan_chain([r, a, p])
         assert plan.order == ((0, 1), 2)
