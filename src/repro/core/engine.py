@@ -135,15 +135,23 @@ class ScratchArena:
     def __init__(self) -> None:
         self._buffers: "dict[str, np.ndarray]" = {}
 
-    def take(self, name: str, size: int, dtype) -> np.ndarray:
-        """A length-``size`` view of buffer ``name``, allocated on demand."""
+    def take(self, name: str, size: int, dtype, fill=None) -> np.ndarray:
+        """A length-``size`` view of buffer ``name``, allocated on demand.
+
+        With ``fill``, a newly allocated buffer starts filled with it; a
+        reused one is returned as its last user left it, so callers that
+        pass ``fill`` restore every entry they change (the dense tables).
+        """
         if size < 0:
             raise ConfigError(f"arena buffer size must be >= 0, got {size}")
         dt = np.dtype(dtype)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size or buf.dtype != dt:
             cap = 1 << max(int(size - 1).bit_length(), 10)  # >= 1024 entries
-            buf = np.empty(cap, dtype=dt)
+            if fill is None:
+                buf = np.empty(cap, dtype=dt)
+            else:
+                buf = np.full(cap, fill, dtype=dt)
             self._buffers[name] = buf
         return buf[:size]
 

@@ -43,15 +43,18 @@ indistinguishable from the faithful kernel's:
   :class:`~repro.core.accumulators.VectorHashAccumulator`, so the emulation
   is exact in all cases.
 
-Scratch (fused keys, the first-touch table, segment flags) lives in the calling
-thread's :class:`~repro.core.engine.ScratchArena` — allocated once, reused
-across row blocks and across calls, mirroring the paper's §5.3.1 parallel
-allocation scheme.
+The rows run as flop-balanced parts on real threads
+(:func:`repro.core.threads.run_row_parts`).  Scratch (fused keys, the
+first-touch table, segment flags) lives in the
+:class:`~repro.core.engine.ScratchArena` of the thread running the part —
+allocated once, reused across row blocks and across calls, mirroring the
+paper's §5.3.1 parallel allocation scheme.
 """
 
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,12 +80,16 @@ from .symbolic import (
     _row_sub_blocks,
     _table_span,
     expand_structure,
-    iter_row_blocks,
+    flop_blocks,
     mask_membership,
     segment_mask,
 )
+from .threads import run_row_parts
 
 __all__ = ["batch_hash_spgemm"]
+
+#: A first-touch table entry no walk is using: past every arrival index.
+_UNTOUCHED = np.iinfo(INDPTR_DTYPE).max
 
 
 def _coordinate_segments(
@@ -148,19 +155,31 @@ def _first_touch_segments(
     )
     if not span:
         return None
-    table = arena.take("touch_table", span * ncols, INDPTR_DTYPE)
-    table.fill(n)  # past every arrival index
+    # Every walk resets the entries it touches, so the table holds the
+    # sentinel between walks and is filled only when the arena allocates
+    # it (or after a walk that raised).
+    table = arena.take(
+        "touch_table", span * ncols, INDPTR_DTYPE, fill=_UNTOUCHED
+    )
     key = arena.take("key", n, INDPTR_DTYPE)
     owner = arena.take("order", n, INDPTR_DTYPE)
     first = arena.take("new_run", n, bool)
-    for s, ps, pe in _row_sub_blocks(rows, r0, r1, span):
-        k = np.subtract(rows[ps:pe], s, out=key[ps:pe])
-        k *= ncols
-        k += cols[ps:pe]
-        arrival = np.arange(ps, pe, dtype=INDPTR_DTYPE)
-        np.minimum.at(table, k, arrival)
-        np.take(table, k, out=owner[ps:pe])
-        table[k[np.equal(owner[ps:pe], arrival, out=first[ps:pe])]] = n
+    clean = False
+    try:
+        for s, ps, pe in _row_sub_blocks(rows, r0, r1, span):
+            k = np.subtract(rows[ps:pe], s, out=key[ps:pe])
+            k *= ncols
+            k += cols[ps:pe]
+            arrival = np.arange(ps, pe, dtype=INDPTR_DTYPE)
+            np.minimum.at(table, k, arrival)
+            np.take(table, k, out=owner[ps:pe])
+            table[k[np.equal(owner[ps:pe], arrival, out=first[ps:pe])]] = (
+                _UNTOUCHED
+            )
+        clean = True
+    finally:
+        if not clean:
+            table.fill(_UNTOUCHED)
     return first, owner
 
 
@@ -180,15 +199,21 @@ def _max_flop_per_thread(
 
 
 def _vhash_geometry(
-    a: CSR, b: CSR, nthreads: int, partition: ThreadPartition | None, lanes: int
+    a: CSR,
+    b: CSR,
+    nthreads: int,
+    partition: ThreadPartition | None,
+    lanes: int,
+    flop: np.ndarray,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Per-row ``(chunk_mask, table_capacity)`` of the faithful HashVector.
 
-    The chunked table's shape depends on the owning thread's row-flop cap,
-    so the partition must be reproduced exactly (same default call as
-    :func:`repro.core.hash_spgemm.hash_spgemm`).
+    The chunked table's shape depends on the owning *simulated* thread's
+    row-flop cap, so the ``nthreads`` partition must be reproduced exactly
+    (same default call as :func:`repro.core.hash_spgemm.hash_spgemm`),
+    whatever real threads run the rows.  Computed once over all rows and
+    indexed by absolute row, so every row range reads its own slice.
     """
-    flop = flop_per_row(a, b)
     if partition is None:
         partition = rows_to_threads(a, b, nthreads, row_cost=flop)
     caps = _max_flop_per_thread(partition, flop)
@@ -317,13 +342,17 @@ def batch_hash_spgemm(
         raise ConfigError(
             f"partition covers {partition.nrows} rows, matrix has {a.nrows}"
         )
+    flop = flop_per_row(a, b)
     vhash = None
     if order == "hashvec":
         lanes = lanes_for_vector_bits(vector_bits)
-        vhash = (*_vhash_geometry(a, b, nthreads, partition, lanes), lanes)
+        vhash = (
+            *_vhash_geometry(a, b, nthreads, partition, lanes, flop), lanes
+        )
     return _batch_blocks(
-        a, b, get_semiring(semiring), order, vhash=vhash, stats=stats,
-        max_block_flop=max_block_flop, arena=arena, tracer=tracer,
+        a, b, get_semiring(semiring), order, vhash=vhash, flop=flop,
+        stats=stats, max_block_flop=max_block_flop, arena=arena,
+        tracer=tracer,
     )
 
 
@@ -336,24 +365,121 @@ def _batch_blocks(
     mask: CSR | None = None,
     complement: bool = False,
     vhash: "tuple | None" = None,
+    flop: "np.ndarray | None" = None,
     stats: KernelStats | None = None,
     max_block_flop: int = DEFAULT_MAX_BLOCK_FLOP,
     arena: ScratchArena | None = None,
     tracer=None,
 ) -> CSR:
-    """The block loop of both batched kernels.
+    """The block loop of both batched kernels, on real threads.
 
     Each flop-bounded row block is expanded, optionally gated by ``mask``
     membership (filtering keeps the arrival order), multiplied, grouped by
     output coordinate, folded in arrival order and emitted in ``order``
     (``"sorted"``, ``"first_touch"`` or ``"hashvec"``; ``vhash`` carries
-    the ``hashvec`` chunk geometry).  ``stats`` gets the coarse ledger
-    entries, and with a ``mask`` the evaluated and kept product counts.
+    the ``hashvec`` chunk geometry).  The blocks live in the row ranges of
+    :func:`~repro.core.threads.run_row_parts`, cut from ``flop`` (per-row
+    flop, counted here when not given); parts run by the calling thread
+    use ``arena``.  ``stats`` gets the coarse ledger entries, and with a
+    ``mask`` the evaluated and kept product counts.
+
+    Only the calling thread touches ``tracer``: it records its own phase
+    times (the parts it ran), files everything else — counting flop,
+    waiting for the workers, assembling — under ``stitch``, so the spans
+    still sum to the call's wall, and puts the parts' seconds on the open
+    span as counters.
     """
-    if arena is None:
-        arena = get_thread_arena()
+    t0 = time.perf_counter()
+    if flop is None:
+        flop = flop_per_row(a, b)
+    parts = run_row_parts(
+        _batch_part, flop, a, b, sr, order, mask, complement, vhash, flop,
+        max_block_flop, tracer is not None, arena=arena,
+    )
     nrows, ncols = a.nrows, b.ncols
-    row_nnz = np.zeros(nrows, dtype=INDPTR_DTYPE)
+    indptr = np.zeros(nrows + 1, dtype=INDPTR_DTYPE)
+    if nrows:
+        np.concatenate([p.value.row_nnz for p in parts], out=indptr[1:])
+        np.cumsum(indptr, out=indptr)
+    nnz_total = int(indptr[-1])
+    out_indices = np.empty(nnz_total, dtype=INDEX_DTYPE)
+    out_data = np.empty(nnz_total, dtype=VALUE_DTYPE)
+    cursor = 0
+    for part in parts:
+        for bc, bv in zip(part.value.cols, part.value.vals):
+            out_indices[cursor : cursor + len(bc)] = bc
+            out_data[cursor : cursor + len(bv)] = bv
+            cursor += len(bc)
+    if stats is not None:
+        for part in parts:
+            stats.merge(part.value.stats)
+    if tracer is not None:
+        own = dict.fromkeys(("numeric", "mask", "sort"), 0.0)
+        for part in parts:
+            if part.inline:
+                for phase, seconds in part.value.seconds.items():
+                    own[phase] += seconds
+        tracer.record(
+            "expand+reduce", own["numeric"], phase="numeric",
+            what="expand/mul/reduce",
+        )
+        if mask is not None:
+            tracer.record(
+                "mask-gate", own["mask"], phase="mask",
+                what="mask membership filter",
+            )
+        tracer.record(
+            "bucket", own["sort"], phase="sort", what="coordinate grouping"
+        )
+        tracer.record(
+            "assemble", time.perf_counter() - t0 - sum(own.values()),
+            phase="stitch", what="flop count, part wait, block assembly",
+        )
+        if len(parts) > 1:
+            tracer.counter("parts", len(parts))
+            tracer.counter("part_seconds", sum(p.seconds for p in parts))
+            tracer.counter(
+                "part_seconds_max", max(p.seconds for p in parts)
+            )
+    return CSR(
+        (nrows, ncols), indptr, out_indices, out_data,
+        sorted_rows=order == "sorted",
+    )
+
+
+class _BlockPart(NamedTuple):
+    """One row range of :func:`_batch_blocks`: its row nnz, its blocks'
+    columns and values in row order, its ledger and its phase seconds."""
+
+    row_nnz: np.ndarray
+    cols: "list[np.ndarray]"
+    vals: "list[np.ndarray]"
+    stats: KernelStats
+    seconds: "dict[str, float]"
+
+
+def _batch_part(
+    lo: int,
+    hi: int,
+    arena: ScratchArena,
+    a: CSR,
+    b: CSR,
+    sr: Semiring,
+    order: str,
+    mask: CSR | None,
+    complement: bool,
+    vhash: "tuple | None",
+    flop: np.ndarray,
+    max_block_flop: int,
+    timed: bool,
+) -> _BlockPart:
+    """Rows ``[lo, hi)`` of :func:`_batch_blocks`, block by block.
+
+    Reads the operands and writes only fresh arrays and ``arena``; phase
+    seconds are measured when ``timed``.
+    """
+    ncols = b.ncols
+    row_nnz = np.zeros(hi - lo, dtype=INDPTR_DTYPE)
     block_cols: "list[np.ndarray]" = []
     block_vals: "list[np.ndarray]" = []
     total_flop = kept_total = 0
@@ -363,12 +489,12 @@ def _batch_blocks(
 
     def lap(phase: str) -> None:
         nonlocal mark
-        if tracer is not None:
+        if timed:
             now = clock()
             seconds[phase] += now - mark
             mark = now
 
-    for r0, r1 in iter_row_blocks(a, b, max_block_flop):
+    for r0, r1 in flop_blocks(flop, lo, hi, max_block_flop):
         rows, cols, a_src, b_src = expand_structure(a, b, r0, r1)
         n = len(rows)
         total_flop += n
@@ -380,18 +506,19 @@ def _batch_blocks(
             if complement:
                 np.logical_not(allowed, out=allowed)
             kept = np.flatnonzero(allowed)
-            rows, cols = rows[kept], cols[kept]
-            a_src, b_src = a_src[kept], b_src[kept]
+            rows, cols = np.take(rows, kept), np.take(cols, kept)
+            a_src, b_src = np.take(a_src, kept), np.take(b_src, kept)
             n = len(kept)
             kept_total += n
             lap("mask")
         if n == 0:
             continue
         # Each index stream is dropped once gathered; the product lands in
-        # the (fresh) A gather when mul is a ufunc.
-        vals = a.data[a_src]
+        # the (fresh) A gather when mul is a ufunc.  The gathers use
+        # np.take, which releases the GIL where fancy indexing holds it.
+        vals = np.take(a.data, a_src)
         del a_src
-        b_vals = b.data[b_src]
+        b_vals = np.take(b.data, b_src)
         del b_src
         if isinstance(sr.mul, np.ufunc):
             sr.mul(vals, b_vals, out=vals)
@@ -421,13 +548,21 @@ def _batch_blocks(
                 rows, cols, r0, r1 - r0, ncols, arena
             )
             del rows, cols
-            v_s = np.take(vals, perm, out=arena.take("vals_s", n, VALUE_DTYPE))
+            # The fused keys are dead once the segments are found; their
+            # buffer (8 bytes a product, like a value) takes the permuted
+            # values, so no part's arena holds a third such buffer.
+            v_s = np.take(
+                vals, perm,
+                out=arena.take("key", n, INDPTR_DTYPE).view(VALUE_DTYPE),
+            )
             lap("sort")
             # ufunc.reduceat sums pairwise for float accuracy, which is
             # *not* the scalar kernels' left-to-right sequence.
             seg_vals = sr.accumulate_segments(v_s, new_run, starts)
         del vals
-        row_nnz[r0:r1] += np.bincount(seg_rows - r0, minlength=r1 - r0)
+        row_nnz[r0 - lo : r1 - lo] += np.bincount(
+            seg_rows - r0, minlength=r1 - r0
+        )
         lap("numeric")
 
         if grouped is None and order != "sorted":
@@ -453,43 +588,11 @@ def _batch_blocks(
         block_vals.append(np.ascontiguousarray(seg_vals, dtype=VALUE_DTYPE))
         lap("sort")
 
-    indptr = np.zeros(nrows + 1, dtype=INDPTR_DTYPE)
-    np.cumsum(row_nnz, out=indptr[1:])
-    nnz_total = int(indptr[-1])
-    out_indices = np.empty(nnz_total, dtype=INDEX_DTYPE)
-    out_data = np.empty(nnz_total, dtype=VALUE_DTYPE)
-    cursor = 0
-    for bc, bv in zip(block_cols, block_vals):
-        out_indices[cursor : cursor + len(bc)] = bc
-        out_data[cursor : cursor + len(bv)] = bv
-        cursor += len(bc)
-    if tracer is not None:
-        tracer.record(
-            "expand+reduce", seconds["numeric"], phase="numeric",
-            what="expand/mul/reduce",
-        )
-        if mask is not None:
-            tracer.record(
-                "mask-gate", seconds["mask"], phase="mask",
-                what="mask membership filter",
-            )
-        tracer.record(
-            "bucket", seconds["sort"], phase="sort", what="coordinate grouping"
-        )
-        tracer.record(
-            "assemble", clock() - mark, phase="stitch", what="block assembly"
-        )
-
-    if stats is not None:
-        stats.flops += total_flop
-        stats.output_nnz += nnz_total
-        stats.rows += nrows
-        if order == "sorted":
-            stats.sorted_elements += nnz_total
-        if mask is not None:
-            stats.spa_touches += total_flop
-            stats.masked_kept += kept_total
-    return CSR(
-        (nrows, ncols), indptr, out_indices, out_data,
-        sorted_rows=order == "sorted",
-    )
+    nnz = int(row_nnz.sum())
+    stats = KernelStats(flops=total_flop, output_nnz=nnz, rows=hi - lo)
+    if order == "sorted":
+        stats.sorted_elements = nnz
+    if mask is not None:
+        stats.spa_touches = total_flop
+        stats.masked_kept = kept_total
+    return _BlockPart(row_nnz, block_cols, block_vals, stats, seconds)

@@ -26,10 +26,15 @@ __all__ = ["KernelStats", "EXTRA_SPAN_COUNTERS"]
 #: :class:`KernelStats` fields.  The span-discipline contract (see
 #: ``docs/static-analysis.md``) requires every literal counter key at a
 #: tracer seam to be a declared field of the instrumentation schema so
-#: traces and stats ledgers reconcile; ``nnz`` is the one deliberate
-#: extra — the dispatcher stamps the *result's* nonzero count on the root
-#: span, which is a property of the output, not an operation count.
-EXTRA_SPAN_COUNTERS = frozenset({"nnz"})
+#: traces and stats ledgers reconcile.  The extras describe the call, not
+#: an operation count: ``nnz`` is the *result's* nonzero count, stamped on
+#: the root span by the dispatcher; a batched call whose rows ran as
+#: several thread parts adds ``parts`` (how many), ``part_seconds`` (their
+#: summed wall) and ``part_seconds_max`` (the slowest part's), so
+#: ``part_seconds_max * parts / part_seconds`` is the load imbalance.
+EXTRA_SPAN_COUNTERS = frozenset(
+    {"nnz", "parts", "part_seconds", "part_seconds_max"}
+)
 
 
 @dataclass

@@ -502,7 +502,8 @@ def _inspect(a: CSR, b: CSR, options: SpgemmOptions, fps: tuple) -> SpgemmPlan:
                 lanes = lanes_for_vector_bits(options.vector_bits)
                 vhash = (
                     *_vhash_geometry(
-                        a, b, options.nthreads, options.partition, lanes
+                        a, b, options.nthreads, options.partition, lanes,
+                        flop_per_row(a, b),
                     ),
                     lanes,
                 )

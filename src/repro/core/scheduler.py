@@ -31,6 +31,7 @@ from ..matrix.stats import flop_per_row
 
 __all__ = [
     "ThreadPartition",
+    "balanced_offsets",
     "lowbnd",
     "rows_to_threads",
     "static_partition",
@@ -178,33 +179,38 @@ def rows_to_threads(
     """
     _check_threads(nthreads)
     cost = flop_per_row(a, b) if row_cost is None else np.asarray(row_cost)
-    flopps = np.cumsum(cost)
-    total = int(flopps[-1]) if len(flopps) else 0
-    if total == 0:
-        # Zero-flop degeneracy (e.g. B has empty rows wherever A is
-        # nonzero): ave == 0 would make every lowbnd return 0 and the last
-        # thread would own *all* rows.  Fall back to an even row split —
-        # with no flop to balance, row count is the only load proxy left.
-        offsets = np.linspace(0, a.nrows, nthreads + 1).astype(INDPTR_DTYPE)
-        return ThreadPartition(
-            policy="balanced",
-            nthreads=nthreads,
-            offsets=offsets,
-            row_cost=cost,
-        )
-    ave = total / nthreads
-    offsets = np.zeros(nthreads + 1, dtype=INDPTR_DTYPE)
-    for tid in range(1, nthreads):
-        offsets[tid] = lowbnd(flopps, ave * tid)
+    offsets = balanced_offsets(cost, nthreads)
     offsets[nthreads] = a.nrows
-    # Guard against empty middle threads on degenerate inputs: offsets must
-    # be monotone, which lowbnd guarantees since flopps is non-decreasing.
     return ThreadPartition(
         policy="balanced",
         nthreads=nthreads,
         offsets=offsets,
         row_cost=cost,
     )
+
+
+def balanced_offsets(cost: np.ndarray, nthreads: int) -> np.ndarray:
+    """``RowsToThreads``' cut points over per-row ``cost``: thread ``t``
+    owns rows ``[offsets[t], offsets[t + 1])`` of ``len(cost)``.
+
+    Middle threads may own no rows when one row carries more than a
+    thread's share (``lowbnd`` keeps the offsets monotone).
+    """
+    nrows = len(cost)
+    flopps = np.cumsum(cost)
+    total = int(flopps[-1]) if nrows else 0
+    if total == 0:
+        # Zero-flop degeneracy (e.g. B has empty rows wherever A is
+        # nonzero): ave == 0 would make every lowbnd return 0 and the last
+        # thread would own *all* rows.  Fall back to an even row split —
+        # with no flop to balance, row count is the only load proxy left.
+        return np.linspace(0, nrows, nthreads + 1).astype(INDPTR_DTYPE)
+    ave = total / nthreads
+    offsets = np.zeros(nthreads + 1, dtype=INDPTR_DTYPE)
+    for tid in range(1, nthreads):
+        offsets[tid] = lowbnd(flopps, ave * tid)
+    offsets[nthreads] = nrows
+    return offsets
 
 
 def static_partition(nrows: int, nthreads: int) -> ThreadPartition:

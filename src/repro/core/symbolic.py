@@ -30,10 +30,12 @@ from ..matrix.csr import (
 )
 from ..matrix.stats import flop_per_row
 from .engine import ScratchArena, get_thread_arena
+from .threads import run_row_parts
 
 __all__ = [
     "expand_rows",
     "expand_structure",
+    "flop_blocks",
     "fused_key_fits",
     "iter_row_blocks",
     "mask_membership",
@@ -103,7 +105,7 @@ def expand_structure(
     # Positions into B's arrays: b_starts[j] + (0..reps[j]-1), vectorized.
     b_src = np.repeat(b_starts - offsets[:-1], reps)
     b_src += np.arange(total, dtype=INDPTR_DTYPE)
-    out_cols = b.indices[b_src]
+    out_cols = np.take(b.indices, b_src)  # take releases the GIL
     # Output row of each intermediate product: row i's products occupy
     # offsets[a.indptr[i] - lo] .. offsets[a.indptr[i + 1] - lo].
     row_products = np.diff(offsets[a.indptr[row_start : row_end + 1] - lo])
@@ -224,7 +226,8 @@ def mask_membership(
     n = len(rows)
     out = np.zeros(n, dtype=bool)
     m_indptr, m_indices = mask.indptr, mask.indices
-    if n == 0 or m_indptr[row_start] == m_indptr[row_end]:
+    m0, m1 = int(m_indptr[row_start]), int(m_indptr[row_end])
+    if n == 0 or m0 == m1:
         return out
     if arena is None:
         arena = get_thread_arena()
@@ -235,33 +238,43 @@ def mask_membership(
     )
     table = None
     if span:
-        table = arena.take("mask_table", span * ncols, bool)
-        table[:] = False
+        # Every stamp is cleared again, so the table is filled only when
+        # the arena allocates it (or after a walk that raised).
+        table = arena.take("mask_table", span * ncols, bool, fill=False)
     else:
         span = max(1, (2**62) // ncols)
-    for s, ps, pe in _row_sub_blocks(rows, row_start, row_end, span):
-        e = min(s + span, row_end)
-        lo, hi = int(m_indptr[s]), int(m_indptr[e])
-        if lo == hi:
-            continue
-        mkeys = np.repeat(
-            np.arange(0, (e - s) * ncols, ncols, dtype=INDPTR_DTYPE),
-            np.diff(m_indptr[s : e + 1]),
-        )
-        mkeys += m_indices[lo:hi]
-        pkeys = arena.take("mask_key", pe - ps, INDPTR_DTYPE)
-        np.subtract(rows[ps:pe], s, out=pkeys)
-        pkeys *= ncols
-        pkeys += cols[ps:pe]
-        if table is not None:
-            table[mkeys] = True
-            np.take(table, pkeys, out=out[ps:pe])
-            table[mkeys] = False
-        else:
-            mkeys.sort()
-            pos = np.searchsorted(mkeys, pkeys)
-            np.minimum(pos, len(mkeys) - 1, out=pos)
-            np.equal(mkeys[pos], pkeys, out=out[ps:pe])
+    # Each mask entry's row, once per block; sub-blocks slice it.
+    m_rows = np.repeat(
+        np.arange(row_start, row_end, dtype=INDPTR_DTYPE),
+        np.diff(m_indptr[row_start : row_end + 1]),
+    )
+    clean = False
+    try:
+        for s, ps, pe in _row_sub_blocks(rows, row_start, row_end, span):
+            e = min(s + span, row_end)
+            lo, hi = int(m_indptr[s]), int(m_indptr[e])
+            if lo == hi:
+                continue
+            mkeys = np.subtract(m_rows[lo - m0 : hi - m0], s)
+            mkeys *= ncols
+            mkeys += m_indices[lo:hi]
+            pkeys = arena.take("mask_key", pe - ps, INDPTR_DTYPE)
+            np.subtract(rows[ps:pe], s, out=pkeys)
+            pkeys *= ncols
+            pkeys += cols[ps:pe]
+            if table is not None:
+                table[mkeys] = True
+                np.take(table, pkeys, out=out[ps:pe])
+                table[mkeys] = False
+            else:
+                mkeys.sort()
+                pos = np.searchsorted(mkeys, pkeys)
+                np.minimum(pos, len(mkeys) - 1, out=pos)
+                np.equal(mkeys[pos], pkeys, out=out[ps:pe])
+        clean = True
+    finally:
+        if table is not None and not clean:
+            table.fill(False)
     return out
 
 
@@ -312,32 +325,46 @@ def iter_row_blocks(
     if n == 0 or (total_flop is not None and total_flop <= max_block_flop):
         yield 0, n
         return
-    csum = np.cumsum(flop_per_row(a, b))
-    start = 0
+    yield from flop_blocks(flop_per_row(a, b), 0, n, max_block_flop)
+
+
+def flop_blocks(
+    flop: np.ndarray, lo: int, hi: int, max_block_flop: int
+) -> Iterator[Tuple[int, int]]:
+    """:func:`iter_row_blocks` over rows ``[lo, hi)`` of a known per-row
+    ``flop`` vector (nothing for an empty range)."""
+    csum = np.cumsum(flop[lo:hi])
+    start, n = 0, hi - lo
     while start < n:
         base = csum[start - 1] if start else 0
         end = int(np.searchsorted(csum, base + max_block_flop, side="right"))
         end = max(end, start + 1)  # an oversized single row forms its own block
         end = min(end, n)
-        yield start, end
+        yield lo + start, lo + end
         start = end
 
 
 def _distinct_coordinates(
-    rows: np.ndarray, cols: np.ndarray, r0: int, span: int, ncols: int
+    rows: np.ndarray,
+    cols: np.ndarray,
+    r0: int,
+    span: int,
+    ncols: int,
+    arena: ScratchArena | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct ``(row - r0, col)`` pairs of a ``span``-row block, in
     ascending ``(row, col)`` order.
 
     Each coordinate becomes one fused ``(row - r0) * ncols + col`` int64
-    key, built in the calling thread's scratch arena and sorted in place,
-    so equal coordinates are adjacent and a key splits back into its block
-    row and column by one ``divmod``.  When the fused key would overflow,
+    key, built in ``arena`` (default: the calling thread's) and sorted in
+    place, so equal coordinates are adjacent and a key splits back into
+    its block row and column by one ``divmod``.  When the fused key would overflow,
     a two-key lexsort over ``(row, col)`` finds the same runs.
     """
     n = len(rows)
     if fused_key_fits(span, ncols):
-        arena = get_thread_arena()
+        if arena is None:
+            arena = get_thread_arena()
         key = arena.take("key", n, INDPTR_DTYPE)
         np.subtract(rows, r0, out=key)
         key *= ncols
@@ -370,23 +397,19 @@ def structure_product(
     Value-free: the expansion's coordinates go through the same in-place
     fused-key sort as the exact counts, and every stored value is 1.0 with
     rows sorted — the same matrix as the pattern of a boolean (``or_and``)
-    ESC product, without gathering or multiplying a single value.
+    ESC product, without gathering or multiplying a single value.  Row
+    ranges run on the flop-balanced threads of
+    :func:`~repro.core.threads.run_row_parts`.
     """
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    row_nnz = np.zeros(a.nrows, dtype=INDPTR_DTYPE)
-    block_cols: "list[np.ndarray]" = []
-    for r0, r1 in iter_row_blocks(a, b, max_block_flop):
-        rows, cols, _, _ = expand_structure(a, b, r0, r1)
-        if len(rows) == 0:
-            continue
-        block_rows, distinct_cols = _distinct_coordinates(
-            rows, cols, r0, r1 - r0, b.ncols
-        )
-        row_nnz[r0:r1] = np.bincount(block_rows, minlength=r1 - r0)
-        block_cols.append(distinct_cols)
+    flop = flop_per_row(a, b)
+    parts = run_row_parts(_structure_part, flop, a, b, flop, max_block_flop)
     indptr = np.zeros(a.nrows + 1, dtype=INDPTR_DTYPE)
-    np.cumsum(row_nnz, out=indptr[1:])
+    if a.nrows:
+        np.concatenate([p.value[0] for p in parts], out=indptr[1:])
+        np.cumsum(indptr, out=indptr)
+    block_cols = [c for p in parts for c in p.value[1]]
     indices = (
         np.concatenate(block_cols) if block_cols else np.empty(0, INDEX_DTYPE)
     )
@@ -394,6 +417,31 @@ def structure_product(
         (a.nrows, b.ncols), indptr, indices,
         np.ones(len(indices), dtype=VALUE_DTYPE), sorted_rows=True,
     )
+
+
+def _structure_part(
+    lo: int,
+    hi: int,
+    arena: ScratchArena,
+    a: CSR,
+    b: CSR,
+    flop: np.ndarray,
+    max_block_flop: int,
+) -> "tuple[np.ndarray, list[np.ndarray]]":
+    """Rows ``[lo, hi)`` of :func:`structure_product`: their row nnz and
+    their distinct columns, block by block."""
+    row_nnz = np.zeros(hi - lo, dtype=INDPTR_DTYPE)
+    block_cols: "list[np.ndarray]" = []
+    for r0, r1 in flop_blocks(flop, lo, hi, max_block_flop):
+        rows, cols, _, _ = expand_structure(a, b, r0, r1)
+        if len(rows) == 0:
+            continue
+        block_rows, distinct_cols = _distinct_coordinates(
+            rows, cols, r0, r1 - r0, b.ncols, arena
+        )
+        row_nnz[r0 - lo : r1 - lo] = np.bincount(block_rows, minlength=r1 - r0)
+        block_cols.append(distinct_cols)
+    return row_nnz, block_cols
 
 
 def symbolic_row_nnz(
