@@ -21,8 +21,8 @@ Public surface (see README for a tour):
   masked products with streamed sandwich fusion, so R·A·P never
   materializes an intermediate (``docs/fusion.md``);
 * :mod:`repro.parallel` — real process-parallel SpGEMM over zero-copy
-  shared-memory operand transport, plus the warm
-  :class:`repro.parallel.WorkerPool`;
+  shared-memory operand transport, for the kernels that do not run on
+  threads (the batched kernels thread in :mod:`repro.core.threads`);
 * :mod:`repro.serve` — SpGEMM-as-a-service: a multi-tenant asyncio server
   on the ``repro-job/1`` wire schema, with admission control, shared plan
   cache and a metrics endpoint (``docs/serving.md``);
@@ -106,7 +106,7 @@ from .autotune import (
     run_calibration,
     set_active_profile,
 )
-from .parallel import WorkerPool, parallel_spgemm
+from .parallel import parallel_spgemm
 from .serve import Client, ServeOptions, Server, serve_in_thread, submit_job
 
 __version__ = "1.0.0"
@@ -165,7 +165,6 @@ __all__ = [
     "render_breakdown",
     "phase_breakdown",
     "parallel_spgemm",
-    "WorkerPool",
     "Server",
     "Client",
     "submit_job",

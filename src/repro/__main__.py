@@ -33,6 +33,7 @@ by construction a request the server accepts too.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 import time
 
@@ -256,6 +257,10 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def cmd_serve(args) -> int:
     from .serve import ServeOptions, serve_in_thread
 
@@ -264,17 +269,19 @@ def cmd_serve(args) -> int:
         port=args.port,
         http_port=args.http_port,
         concurrency=args.concurrency,
-        nworkers=args.nworkers,
         max_queue_depth=args.queue_depth,
         default_deadline_ms=args.deadline_ms,
         plan_cache_size=args.plan_cache_size,
     )
     handle = serve_in_thread(opts)
+    # SIGTERM drains exactly as Ctrl-C does: service managers and `kill`
+    # send it, and a shell's background job ignores SIGINT.
+    signal.signal(signal.SIGTERM, _interrupt)
     endpoint = f"{handle.host}:{handle.port}"
     print(f"repro-serve listening on {endpoint} (repro-job/1)")
     if handle.http_port is not None:
         print(f"metrics: http://{handle.host}:{handle.http_port}/metrics")
-    print("press Ctrl-C to drain and stop")
+    print("press Ctrl-C (or send SIGTERM) to drain and stop")
     try:
         while True:
             time.sleep(0.5)
@@ -388,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metrics/health HTTP shim port (off by default)")
     p_srv.add_argument("--concurrency", type=int, default=2,
                        help="jobs computed simultaneously (default 2)")
-    p_srv.add_argument("--nworkers", type=int, default=1,
-                       help="worker processes; 1 = inline plan-cache path")
     p_srv.add_argument("--queue-depth", type=int, default=32,
                        dest="queue_depth",
                        help="admitted-but-unstarted jobs allowed (default 32)")

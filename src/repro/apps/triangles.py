@@ -41,6 +41,7 @@ def count_triangles(
     reorder: bool = True,
     masked: bool = True,
     plan_cache=None,
+    stats=None,
     tracer=None,
 ) -> int:
     """Count triangles of an undirected graph given its adjacency matrix.
@@ -59,7 +60,9 @@ def count_triangles(
     plan-backed: pass a :class:`repro.core.plan.PlanCache` as
     ``plan_cache`` and repeated counts on graphs with the same structure
     replay numeric-only.  ``algorithm`` applies only to the unfused
-    (``masked=False``) path; the fused kernel is its own algorithm.
+    (``masked=False``) path; the fused kernel is its own algorithm.  A
+    :class:`~repro.core.instrument.KernelStats` passed as ``stats``
+    collects the product's counters.
     """
     if adjacency.nrows != adjacency.ncols:
         raise ShapeError("adjacency must be square")
@@ -77,12 +80,13 @@ def count_triangles(
             if masked:
                 closed = masked_spgemm(
                     low, up, a, semiring=PLUS_TIMES, engine=engine,
-                    plan_cache=plan_cache, tracer=tracer,
+                    plan_cache=plan_cache, stats=stats, tracer=tracer,
                 )
             else:
                 wedges = spgemm(
                     low, up, algorithm=algorithm, semiring=PLUS_TIMES,
-                    engine=engine, plan_cache=plan_cache, tracer=tracer,
+                    engine=engine, plan_cache=plan_cache, stats=stats,
+                    tracer=tracer,
                 )
         with obs.span("mask", phase="other"):
             if not masked:
@@ -98,6 +102,7 @@ def triangle_counts_per_vertex(
     engine: str = "faithful",
     masked: bool = True,
     plan_cache=None,
+    stats=None,
 ) -> np.ndarray:
     """Number of triangles through each vertex.
 
@@ -105,7 +110,8 @@ def triangle_counts_per_vertex(
     triangle through v contributes A²-paths to both of v's incident edges.
     With the default ``masked=True`` the product and the mask are one fused
     ``A²⟨A⟩`` call — off-pattern paths never reach the output;
-    ``algorithm`` applies only to the unfused path.
+    ``algorithm`` applies only to the unfused path.  ``stats`` collects
+    the product's counters, as in :func:`count_triangles`.
     """
     if adjacency.nrows != adjacency.ncols:
         raise ShapeError("adjacency must be square")
@@ -113,12 +119,12 @@ def triangle_counts_per_vertex(
     if masked:
         closed = masked_spgemm(
             a, a, a, semiring=PLUS_TIMES, engine=engine,
-            plan_cache=plan_cache,
+            plan_cache=plan_cache, stats=stats,
         )
     else:
         a2 = spgemm(
             a, a, algorithm=algorithm, semiring=PLUS_TIMES, engine=engine,
-            plan_cache=plan_cache,
+            plan_cache=plan_cache, stats=stats,
         )
         closed = elementwise_multiply(a, a2)
     out = np.zeros(a.nrows)

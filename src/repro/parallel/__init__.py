@@ -1,12 +1,13 @@
-"""Real (wall-clock) parallel execution of SpGEMM row blocks.
+"""Real (wall-clock) parallel execution of SpGEMM row blocks in processes.
 
 The simulated-thread path in :mod:`repro.perfmodel` reproduces the paper's
-figures; this package provides *actual* parallelism for users who want
-wall-clock speedups on real cores: the output row space is partitioned with
-the paper's flop-balanced scheduler and each block is computed in a worker
-process (CPython threads cannot run the kernels concurrently).
+figures, and the batched kernels run on real threads
+(:mod:`repro.core.threads`).  This package gives the kernels that do not
+thread — the faithful engine and ESC — wall-clock parallelism: the output
+row space is partitioned with the paper's flop-balanced scheduler and each
+block is computed in a worker process of a per-call pool.
 """
 
-from .pool import WorkerPool, parallel_spgemm
+from .pool import parallel_spgemm
 
-__all__ = ["parallel_spgemm", "WorkerPool"]
+__all__ = ["parallel_spgemm"]

@@ -27,12 +27,12 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import sanitizer as _sanitizer
+from ..core.engine import resolve_engine
 from ..core.options import SpgemmOptions
 from ..core.scheduler import rows_to_threads
 from ..core.spgemm import ALGORITHMS, _resolve_auto, spgemm
@@ -40,7 +40,7 @@ from ..errors import ConfigError, ShapeError
 from ..observability import NULL_TRACER, Tracer, tracer_from_env
 from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 
-__all__ = ["parallel_spgemm", "WorkerPool", "SHARE_MODES"]
+__all__ = ["parallel_spgemm", "SHARE_MODES"]
 
 try:  # pragma: no cover - import guard exercised implicitly
     from multiprocessing import shared_memory as _shm_module
@@ -106,55 +106,17 @@ def _release_shm(shm) -> None:
         pass
 
 
-#: Worker-side cache of attached segments.  A handle must not be closed
+#: Worker-side cache of attached segments, so a worker that runs several
+#: blocks of one call maps the segment once.  A handle must not be closed
 #: while numpy views borrow its mapped buffer: current numpy keeps only an
 #: object reference to the mmap (no buffer-protocol export), so ``close()``
 #: would *succeed* and the next view access would fault on the dangling
-#: pointer.  Eviction is therefore deferred and refcount-guarded: when a
-#: *new* segment arrives — meaning the previous request's views are dead,
-#: their results already shipped back — every other cached handle whose
-#: mapping has no remaining borrowers is swept.  A long-lived worker (the
-#: serving-layer shape) thus holds at most the mapping it is actively
-#: computing on, instead of one mapping per request it ever served.
+#: pointer.  The cache therefore never closes a handle; the workers of a
+#: per-call pool exit with the call, which unmaps everything they held.
 _SHM_HANDLES: "dict[str, object]" = {}
-
-#: ``sys.getrefcount`` of each cached handle's mmap at attach time, before
-#: any view was built over it.  Every live top-level ndarray view adds one
-#: reference (slices chain through ``base``, adding none), so a count back
-#: at its baseline proves the mapping has no borrowers left.
-_SHM_MMAP_BASELINES: "dict[str, int]" = {}
-
-
-def _evict_stale_handles(current: str) -> None:
-    """Close and drop every cached handle except ``current``.
-
-    A handle whose mmap refcount still exceeds its attach-time baseline has
-    live views borrowing the mapping (e.g. an operand kept alive across
-    requests); it is kept and retried on the next sweep rather than pulling
-    the mapping out from under them.  ``BufferError`` covers runtimes where
-    ``close()`` does take a buffer-protocol export on the mmap.
-    """
-    for name in [n for n in _SHM_HANDLES if n != current]:
-        shm = _SHM_HANDLES[name]
-        mm = getattr(shm, "_mmap", None)
-        if mm is not None and sys.getrefcount(mm) > _SHM_MMAP_BASELINES.get(
-            name, 0
-        ):
-            continue
-        try:
-            shm.close()
-        except BufferError:
-            continue
-        # Sanctioned: worker-private cache, same ownership as the attach
-        # below; the entry's views are provably dead (refcount baseline).
-        # repro-lint: disable-next-line=race-global-mutation
-        del _SHM_HANDLES[name]
-        # repro-lint: disable-next-line=race-global-mutation
-        _SHM_MMAP_BASELINES.pop(name, None)
 
 
 def _attach_shm(name: str):
-    _evict_stale_handles(name)
     shm = _SHM_HANDLES.get(name)
     if shm is None:
         # The parent owns the segment's lifetime (it unlinks after the pool
@@ -182,10 +144,6 @@ def _attach_shm(name: str):
         # fills its own copy after fork/spawn) and reads are idempotent.
         # repro-lint: disable-next-line=race-global-mutation
         _SHM_HANDLES[name] = shm
-        mm = getattr(shm, "_mmap", None)
-        if mm is not None:
-            # repro-lint: disable-next-line=race-global-mutation
-            _SHM_MMAP_BASELINES[name] = sys.getrefcount(mm)
     return shm
 
 
@@ -306,15 +264,18 @@ def parallel_spgemm(
     *,
     nworkers: int | None = None,
     share: str = "auto",
-    executor=None,
     **kwargs,
 ) -> CSR:
     """Compute ``C = A (x) B`` across ``nworkers`` OS processes.
 
     Rows are split with the paper's flop-balanced scheduler so workers
     finish together even on skewed inputs.  The default ``esc`` kernel is
-    the fastest executable one under the faithful engine; pair the hash
-    family with ``engine="fast"`` for the batched implementation.
+    the fastest executable one under the faithful engine.  A product whose
+    kernel is the threaded batched one (``engine="fast"`` on a row with a
+    ``batch_order``: the hash family, SPA, ``mkl_inspector``) runs as one
+    :func:`repro.spgemm` call on :mod:`repro.core.threads` instead, which
+    beats worker processes on every measured operand; ``nworkers`` and
+    ``share`` have no effect on it.
 
     Kernel configuration arrives the same way as :func:`repro.spgemm`'s: a
     frozen :class:`~repro.core.options.SpgemmOptions`, loose keywords
@@ -334,18 +295,13 @@ def parallel_spgemm(
     ----------
     nworkers:
         Process count (default: min(cores, 8)).  Must be >= 1; counts
-        beyond the row count are clamped — no silent empty blocks.
+        beyond the row count are clamped — no silent empty blocks.  No
+        effect when the threaded batched kernel runs.
     share:
         Operand transport: ``"shm"`` (zero-copy shared memory),
         ``"fork"`` (copy-on-write inheritance), ``"pickle"`` (legacy
         serialized copies), or ``"auto"`` to pick the best available,
         overridable via the ``REPRO_POOL_SHARE`` environment variable.
-    executor:
-        Optional already-running :class:`concurrent.futures.ProcessPoolExecutor`
-        (usually a :class:`WorkerPool`'s) to dispatch on instead of forking
-        a fresh pool per call — the long-lived serving shape.  Not valid
-        with the ``"fork"`` transport, whose operand mailbox must be
-        published *before* the workers fork.
     tracer:
         Optional :class:`repro.observability.Tracer` (also activated by
         ``REPRO_TRACE``).  The parent traces partition, operand packing and
@@ -386,16 +342,14 @@ def parallel_spgemm(
     if nworkers < 1:
         raise ConfigError(f"nworkers must be >= 1, got {nworkers}")
     mode = _resolve_share(share)
-    if executor is not None and mode == "fork":
-        raise ConfigError(
-            "a persistent executor cannot use the fork transport: its "
-            "workers forked before the operands were published; use shm "
-            "or pickle"
-        )
     nworkers = min(nworkers, max(a.nrows, 1))
     if tracer is None:
         tracer = tracer_from_env()
-    if nworkers == 1 or a.nrows == 0:
+    threaded = (
+        ALGORITHMS[algorithm].batch_order is not None
+        and resolve_engine(engine, algorithm) == "fast"
+    )
+    if nworkers == 1 or a.nrows == 0 or threaded:
         return spgemm(
             a, b, algorithm=algorithm, semiring=sr,
             sort_output=sort_output, engine=engine, tracer=tracer,
@@ -434,11 +388,8 @@ def parallel_spgemm(
             ]
             try:
                 with obs.span("workers", phase="execute", transport="shm"):
-                    if executor is not None:
-                        results = list(executor.map(_worker_shm, tasks))
-                    else:
-                        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                            results = list(pool.map(_worker_shm, tasks))
+                    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+                        results = list(pool.map(_worker_shm, tasks))
             finally:
                 if san is not None:
                     # Digest check precedes release: the mapping must still
@@ -477,11 +428,8 @@ def parallel_spgemm(
                     for s, e in work
                 ]
             with obs.span("workers", phase="execute", transport="pickle"):
-                if executor is not None:
-                    results = list(executor.map(_worker_pickle, tasks))
-                else:
-                    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-                        results = list(pool.map(_worker_pickle, tasks))
+                with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+                    results = list(pool.map(_worker_pickle, tasks))
 
         # Preallocated single-pass stitch: sizes first, then one copy per
         # block.
@@ -528,100 +476,3 @@ def parallel_spgemm(
         (nrows, b.ncols), indptr, out_indices, out_data,
         sorted_rows=ALGORITHMS[algorithm].sorts(sort_output),
     )
-
-
-# --------------------------------------------------------------------------
-# persistent worker set
-# --------------------------------------------------------------------------
-
-def _warm_worker() -> int:
-    """No-op task that forces a worker process to exist and import numpy."""
-    return os.getpid()
-
-
-class WorkerPool:
-    """A warm, long-lived process pool for repeated :func:`parallel_spgemm`.
-
-    ``parallel_spgemm`` alone forks a fresh pool per call — fine for one
-    big product, ruinous for a server answering thousands of small ones.
-    ``WorkerPool`` keeps ``nworkers`` processes alive across calls and
-    hands its executor to ``parallel_spgemm``, so each request pays only
-    the operand memcpy (shm) or pickle, never process startup.
-
-    The ``"fork"`` transport is rejected at construction: its operand
-    mailbox is inherited at fork time, which a persistent pool's workers
-    predate.  ``"auto"`` therefore resolves to shm or pickle only.
-
-    Use as a context manager or call :meth:`shutdown` explicitly; a pool
-    abandoned without shutdown leaks its worker processes until GC.
-    """
-
-    def __init__(
-        self,
-        nworkers: int | None = None,
-        *,
-        share: str = "auto",
-        warm: bool = True,
-    ):
-        if nworkers is None:
-            nworkers = min(os.cpu_count() or 1, 8)
-        if nworkers < 1:
-            raise ConfigError(f"nworkers must be >= 1, got {nworkers}")
-        mode = _resolve_share(share)
-        if mode == "fork":
-            raise ConfigError(
-                "WorkerPool cannot use the fork transport: operands are "
-                "published after its workers fork; use shm or pickle"
-            )
-        self.nworkers = nworkers
-        self.share = mode
-        self._executor = ProcessPoolExecutor(max_workers=nworkers)
-        self._closed = False
-        if warm:
-            # One round of no-ops: the pool is forked/spawned and has
-            # imported this module before the first real request.  (A fast
-            # worker may absorb several no-ops, so this warms the *pool*,
-            # not necessarily every individual worker.)
-            futures = [self._executor.submit(_warm_worker) for _ in range(nworkers)]
-            self.worker_pids = tuple(sorted({f.result(timeout=120) for f in futures}))
-        else:
-            self.worker_pids = ()
-
-    @property
-    def executor(self) -> ProcessPoolExecutor:
-        if self._closed:
-            raise ConfigError("WorkerPool is shut down")
-        return self._executor
-
-    def spgemm(
-        self,
-        a: CSR,
-        b: CSR,
-        opts: SpgemmOptions | None = None,
-        **kwargs,
-    ) -> CSR:
-        """``parallel_spgemm`` on this pool's warm workers."""
-        return parallel_spgemm(
-            a, b, opts,
-            nworkers=self.nworkers, share=self.share,
-            executor=self.executor, **kwargs,
-        )
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the workers; idempotent."""
-        if not self._closed:
-            self._closed = True
-            self._executor.shutdown(wait=wait)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "warm"
-        return (
-            f"WorkerPool(nworkers={self.nworkers}, share={self.share!r}, "
-            f"{state})"
-        )

@@ -1,11 +1,11 @@
 """SpGEMM-as-a-service: a multi-tenant server on the unified options API.
 
 The serving tier turns the library's warm state — inspector-executor
-plans, worker processes — into amortized state: a long-lived process that
-answers ``spgemm`` / ``chain`` / ``masked`` / ``app`` jobs over a
-newline-delimited JSON protocol (``repro-job/1``), sharing one
-process-wide :class:`~repro.core.plan.PlanCache` and (optionally) one
-warm :class:`~repro.parallel.WorkerPool` across every tenant's requests.
+plans — into amortized state: a long-lived process that answers
+``spgemm`` / ``chain`` / ``masked`` / ``app`` jobs over a
+newline-delimited JSON protocol (``repro-job/1``), computing each job
+inline on a compute thread against one process-wide
+:class:`~repro.core.plan.PlanCache` shared by every tenant's requests.
 
 Quick start::
 

@@ -12,14 +12,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import ConfigError, invalid_choice
-from ..parallel.pool import SHARE_MODES
+from ..errors import ConfigError
 
 __all__ = ["ServeOptions"]
-
-#: Transports a :class:`~repro.parallel.pool.WorkerPool` can use (``"fork"``
-#: is excluded: a persistent pool's workers predate the operands).
-_POOL_SHARES = tuple(m for m in SHARE_MODES if m != "fork")
 
 
 @dataclass(frozen=True)
@@ -46,16 +41,9 @@ class ServeOptions:
     default_deadline_ms:
         Deadline applied to jobs that do not carry their own, measured
         from admission (queue wait counts).  ``None`` means no default.
-    nworkers:
-        ``1`` computes jobs inline on the compute threads (the plan-cache
-        path); ``> 1`` keeps a warm :class:`~repro.parallel.WorkerPool`
-        of that many processes and routes ``spgemm`` jobs through it.
-    share:
-        Operand transport for the worker pool (``"fork"`` is invalid for
-        a persistent pool; see :class:`~repro.parallel.WorkerPool`).
     plan_cache_size:
         Capacity of the process-wide :class:`~repro.core.plan.PlanCache`
-        shared by every inline job — repeated-structure traffic replays
+        shared by every job — repeated-structure traffic replays
         plans numeric-only across tenants.
     drain_timeout_s:
         How long a graceful drain waits for queued + in-flight jobs before
@@ -73,16 +61,13 @@ class ServeOptions:
     concurrency: int = 2
     max_queue_depth: int = 32
     default_deadline_ms: "int | None" = 30_000
-    nworkers: int = 1
-    share: str = "auto"
     plan_cache_size: int = 64
     drain_timeout_s: float = 10.0
     max_request_bytes: int = 64 * 1024 * 1024
     tracer: Any = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("concurrency", "max_queue_depth", "nworkers",
-                     "plan_cache_size"):
+        for name in ("concurrency", "max_queue_depth", "plan_cache_size"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(
@@ -118,8 +103,6 @@ class ServeOptions:
                 f"max_request_bytes must be an integer >= 1024, "
                 f"got {self.max_request_bytes!r}"
             )
-        if self.share not in _POOL_SHARES:
-            raise invalid_choice("share", self.share, list(_POOL_SHARES))
         if self.tracer is not None and not hasattr(self.tracer, "span"):
             raise ConfigError(
                 f"tracer must provide .span(name, phase=...), "

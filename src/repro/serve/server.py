@@ -14,15 +14,18 @@ One asyncio event loop owns the sockets and *never* computes:
 * A single dispatcher task round-robins across tenants — a tenant
   flooding the queue delays only itself, not the others — and starts at
   most ``concurrency`` jobs at once.
-* The job body (operand decode, kernel, result encode) runs in a
-  compute thread via :func:`_execute_job`; deadlines are enforced with
-  ``asyncio.wait_for`` measured **from admission**, so queue wait counts
-  against a request's budget.
+* The job body (operand decode, kernel, result encode) runs inline in a
+  compute thread via :func:`_execute_job`; batched kernels inside it
+  split large products over :mod:`repro.core.threads`.  Deadlines are
+  enforced with ``asyncio.wait_for`` measured **from admission**, so
+  queue wait counts against a request's budget.  A job past its deadline
+  is answered at once, but its compute thread cannot be interrupted: the
+  job keeps its concurrency slot and its ``in_flight`` count until the
+  thread finishes, so a drain never reports clean over a running job.
 
 Warm state shared by every request: a process-wide
 :class:`~repro.core.plan.PlanCache` (repeated-structure traffic replays
-plans numeric-only, across tenants) and — when ``nworkers > 1`` — a warm
-:class:`~repro.parallel.WorkerPool` whose processes outlive requests.
+plans numeric-only, across tenants).
 
 Tracing: when the server has a tracer, each request runs under its own
 :class:`~repro.observability.Tracer` in the compute thread and its span
@@ -48,7 +51,6 @@ from ..core.instrument import KernelStats
 from ..core.plan import PlanCache
 from ..errors import ConfigError, ReproError, invalid_choice
 from ..observability import Tracer
-from ..parallel.pool import WorkerPool
 from .metrics import ServerMetrics
 from .options import ServeOptions
 from .protocol import (
@@ -71,21 +73,22 @@ def _error_body(code: str, message: str) -> dict:
 # job execution (compute-thread side)
 # --------------------------------------------------------------------------
 
-def _app_triangles(adjacency, plan_cache, args):
+def _app_triangles(adjacency, plan_cache, stats, args):
     return {"value": int(count_triangles(
-        adjacency, plan_cache=plan_cache, **args
+        adjacency, plan_cache=plan_cache, stats=stats, **args
     ))}
 
 
-def _app_triangles_per_vertex(adjacency, plan_cache, args):
+def _app_triangles_per_vertex(adjacency, plan_cache, stats, args):
     counts = triangle_counts_per_vertex(
-        adjacency, plan_cache=plan_cache, **args
+        adjacency, plan_cache=plan_cache, stats=stats, **args
     )
     return {"values": [int(v) for v in counts]}
 
 
 #: App jobs the server will run: registry name -> callable taking
-#: ``(adjacency, plan_cache, args)`` and returning a JSON-able result.
+#: ``(adjacency, plan_cache, stats, args)`` and returning a JSON-able
+#: result.
 _APP_REGISTRY = {
     "count_triangles": _app_triangles,
     "triangle_counts_per_vertex": _app_triangles_per_vertex,
@@ -97,35 +100,25 @@ def _execute_job(server: "Server", payload: dict):
 
     Returns ``(body, stats, trace_payload)`` where ``body`` is the
     response body (``ok`` + ``result``/``stats``/``elapsed_ms``),
-    ``stats`` is the request's :class:`KernelStats` (or None) for the
-    server-wide totals, and ``trace_payload`` is the request tracer's
+    ``stats`` is the request's :class:`KernelStats` for the server-wide
+    totals, and ``trace_payload`` is the request tracer's
     serialized span forest (or None).  Module-level — not a method — so
     tests can monkeypatch it with a deterministic slow/failing stand-in.
     """
     t0 = time.perf_counter()
     job = parse_job(payload)
     kind = job["kind"]
-    stats: "KernelStats | None" = KernelStats()
+    stats = KernelStats()
     server_tracer = server.tracer
     wtracer = (
         Tracer() if server_tracer is not None and server_tracer.enabled
         else None
     )
     if kind == "spgemm":
-        options = job["options"]
-        if server._pool is not None:
-            # Pool path: stats/plan_cache are process-local and cannot
-            # follow the operands to the workers, so kernel counters are
-            # not collected here (the pool's tracer spans still are).
-            stats = None
-            c = server._pool.spgemm(
-                job["a"], job["b"], options.replace(tracer=wtracer)
-            )
-        else:
-            c = server._plan_cache.execute(
-                job["a"], job["b"],
-                options.replace(stats=stats, tracer=wtracer),
-            )
+        c = server._plan_cache.execute(
+            job["a"], job["b"],
+            job["options"].replace(stats=stats, tracer=wtracer),
+        )
         result = {"c": csr_to_wire(c)}
     elif kind == "chain":
         options = job["options"].replace(
@@ -148,7 +141,9 @@ def _execute_job(server: "Server", payload: dict):
         if fn is None:
             raise invalid_choice("app", job["app"], sorted(_APP_REGISTRY))
         try:
-            result = fn(job["adjacency"], server._plan_cache, job["args"])
+            result = fn(
+                job["adjacency"], server._plan_cache, stats, job["args"]
+            )
         except TypeError as exc:
             raise ConfigError(
                 f"bad args for app {job['app']!r}: {exc}"
@@ -159,7 +154,7 @@ def _execute_job(server: "Server", payload: dict):
         "ok": True,
         "result": result,
         "elapsed_ms": (time.perf_counter() - t0) * 1000.0,
-        "stats": stats.scalar_snapshot() if stats is not None else None,
+        "stats": stats.scalar_snapshot(),
     }
     trace = (
         [s.to_dict() for s in wtracer.spans]
@@ -189,7 +184,6 @@ class Server:
         self.http_port: "int | None" = None
         self._plan_cache = PlanCache(maxsize=self.options.plan_cache_size)
         self._metrics = ServerMetrics()
-        self._pool: "WorkerPool | None" = None
         self._threads: "ThreadPoolExecutor | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._tcp = None
@@ -209,7 +203,7 @@ class Server:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind sockets, warm the worker pool, start the dispatcher."""
+        """Bind sockets, start the compute threads and the dispatcher."""
         opts = self.options
         self._loop = asyncio.get_running_loop()
         self._work = asyncio.Event()
@@ -217,12 +211,6 @@ class Server:
         self._threads = ThreadPoolExecutor(
             max_workers=opts.concurrency, thread_name_prefix="repro-serve"
         )
-        if opts.nworkers > 1:
-            # Warm the pool before accepting traffic so the first request
-            # does not pay process startup.
-            self._pool = await self._loop.run_in_executor(
-                None, lambda: WorkerPool(opts.nworkers, share=opts.share)
-            )
         self._tcp = await asyncio.start_server(
             self._handle_conn, opts.host, opts.port,
             limit=opts.max_request_bytes,
@@ -260,7 +248,7 @@ class Server:
         return clean
 
     async def shutdown(self, *, drain: bool = True) -> bool:
-        """Drain (optionally), then stop sockets, dispatcher and workers."""
+        """Drain (optionally), then stop sockets, dispatcher and threads."""
         clean = await self.drain() if drain else True
         if not drain:
             self._draining = True
@@ -288,8 +276,6 @@ class Server:
             await asyncio.gather(*self._conns, return_exceptions=True)
         if self._threads is not None:
             self._threads.shutdown(wait=False)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
         return clean
 
     # -- admission + dispatch ----------------------------------------------
@@ -360,9 +346,15 @@ class Server:
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
+    def _release_slot(self, _job=None) -> None:
+        """Give back a dispatched job's concurrency slot and in-flight count."""
+        self._in_flight -= 1
+        self._sem.release()
+        self._work.set()
+
     async def _run_entry(self, entry: dict) -> None:
         loop = self._loop
-        stats = trace = None
+        stats = trace = job = None
         try:
             timeout = None
             if entry["deadline_ms"] is not None:
@@ -376,15 +368,16 @@ class Server:
                 )
             else:
                 try:
+                    job = loop.run_in_executor(
+                        self._threads, _execute_job, self, entry["payload"]
+                    )
                     body, stats, trace = await asyncio.wait_for(
-                        loop.run_in_executor(
-                            self._threads, _execute_job, self, entry["payload"]
-                        ),
-                        timeout=timeout,
+                        asyncio.shield(job), timeout=timeout
                     )
                 except asyncio.TimeoutError:
                     # The compute thread cannot be interrupted; it finishes
-                    # in the background and its result is discarded.
+                    # in the background, its result is discarded, and the
+                    # finally below leaves its slot taken until then.
                     body = _error_body(
                         "deadline-exceeded",
                         f"deadline of {entry['deadline_ms']} ms exceeded",
@@ -414,9 +407,10 @@ class Server:
             if not entry["future"].done():
                 entry["future"].set_result(body)
         finally:
-            self._in_flight -= 1
-            self._sem.release()
-            self._work.set()
+            if job is None or job.done():
+                self._release_slot()
+            else:
+                job.add_done_callback(self._release_slot)
 
     # -- protocol front-end ------------------------------------------------
 

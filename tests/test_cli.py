@@ -178,3 +178,40 @@ class TestCalibrateCommand:
         )
         assert code != 0
         assert "candidate" in err
+
+
+class TestServeCommand:
+    def test_worker_pool_flag_is_refused(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--nworkers", "2"])
+        assert exc.value.code == 2
+
+    def test_sigterm_drains_cleanly(self):
+        """SIGTERM stops the server the way Ctrl-C does: drain, exit 0."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            stdin=subprocess.DEVNULL, text=True,
+        )
+        try:
+            line = ""
+            for line in proc.stdout:  # until the server binds, or exits
+                if "listening on" in line:
+                    break
+            assert "listening on" in line
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, out
+        assert "clean drain" in out

@@ -328,59 +328,63 @@ class TestReadOnlyOperands:
             pool._release_shm(shm)
 
 
-class TestHandleEviction:
-    def test_attach_caches_and_evicts_previous_segment(self):
-        """A long-lived worker must not accumulate one mapping per request:
-        attaching a new segment sweeps the previously cached handles."""
+class TestHandleCache:
+    def test_attach_caches_segment_handle(self):
+        """A worker that runs several blocks of one call maps the segment
+        once: a second attach returns the cached handle."""
         from repro.parallel import pool
 
-        seg1 = pool._shm_module.SharedMemory(create=True, size=64)
-        seg2 = pool._shm_module.SharedMemory(create=True, size=64)
+        seg = pool._shm_module.SharedMemory(create=True, size=64)
         saved = dict(pool._SHM_HANDLES)
         pool._SHM_HANDLES.clear()
         try:
-            h1 = pool._attach_shm(seg1.name)
-            assert pool._attach_shm(seg1.name) is h1  # cached
-            pool._attach_shm(seg2.name)
-            assert seg1.name not in pool._SHM_HANDLES  # evicted and closed
-            assert seg2.name in pool._SHM_HANDLES
+            h1 = pool._attach_shm(seg.name)
+            assert pool._attach_shm(seg.name) is h1  # cached
         finally:
             for shm in pool._SHM_HANDLES.values():
                 shm.close()
             pool._SHM_HANDLES.clear()
-            pool._SHM_MMAP_BASELINES.clear()
             pool._SHM_HANDLES.update(saved)
-            pool._release_shm(seg1)
-            pool._release_shm(seg2)
+            pool._release_shm(seg)
 
-    def test_eviction_defers_while_views_are_alive(self):
-        """Closing a mapping under a live numpy view would leave the view
-        with a dangling pointer (current numpy holds no buffer-protocol
-        export, so close() would not even fail).  The sweep must detect
-        live borrowers via the mmap refcount baseline, keep the handle, and
-        retry on a later attach."""
+
+class TestThreadedRoute:
+    """The threaded batched kernel never runs in worker processes."""
+
+    def test_batched_fast_product_runs_without_the_pool(self, monkeypatch):
         from repro.parallel import pool
 
-        seg1 = pool._shm_module.SharedMemory(create=True, size=64)
-        seg2 = pool._shm_module.SharedMemory(create=True, size=64)
-        saved = dict(pool._SHM_HANDLES)
-        pool._SHM_HANDLES.clear()
-        try:
-            h1 = pool._attach_shm(seg1.name)
-            view = np.ndarray(8, dtype=np.float64, buffer=h1.buf)
-            pool._attach_shm(seg2.name)
-            assert seg1.name in pool._SHM_HANDLES  # kept: view still alive
-            del view
-            pool._attach_shm(seg2.name)
-            assert seg1.name not in pool._SHM_HANDLES  # swept on retry
-        finally:
-            for shm in pool._SHM_HANDLES.values():
-                shm.close()
-            pool._SHM_HANDLES.clear()
-            pool._SHM_MMAP_BASELINES.clear()
-            pool._SHM_HANDLES.update(saved)
-            pool._release_shm(seg1)
-            pool._release_shm(seg2)
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", no_pool)
+        g = g500_matrix(9, 8, seed=3)
+        ref = spgemm(g, g, algorithm="hash", engine="fast")
+        c = parallel_spgemm(g, g, algorithm="hash", engine="fast", nworkers=3)
+        assert c.indptr.tobytes() == ref.indptr.tobytes()
+        assert c.indices.tobytes() == ref.indices.tobytes()
+        assert c.data.tobytes() == ref.data.tobytes()
+        assert c.sorted_rows == ref.sorted_rows
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(algorithm="hash", engine="faithful"),
+         dict(algorithm="esc", engine="fast")],
+        ids=["faithful-hash", "esc"],
+    )
+    def test_unthreaded_kernels_reach_the_pool(self, monkeypatch, kwargs):
+        from repro.parallel import pool
+
+        class PoolReached(Exception):
+            pass
+
+        def sentinel_pool(*args, **kw):
+            raise PoolReached
+
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", sentinel_pool)
+        g = g500_matrix(7, 8, seed=3)
+        with pytest.raises(PoolReached):
+            parallel_spgemm(g, g, nworkers=3, **kwargs)
 
 
 class TestShmLifecycle:

@@ -140,13 +140,12 @@ def test_race_rules_clean_on_real_tree():
     )
     assert result.findings == [], "\n".join(f.render() for f in result.findings)
     # The sanctioned sites are suppressed, not absent.  In parallel/pool.py:
-    # the resource-tracker monkeypatch pair, the _SHM_HANDLES cache fill and
-    # eviction, the _SHM_MMAP_BASELINES record/drop pair, and the
-    # _FORK_OPERANDS publish/cleanup pair.  In serve/server.py: the
+    # the resource-tracker monkeypatch pair, the _SHM_HANDLES cache fill,
+    # and the _FORK_OPERANDS publish/cleanup pair.  In serve/server.py: the
     # serve_in_thread closure-capturing *thread* target (spawn-capture is a
     # process-pickling hazard; thread targets never pickle).
     suppressed = [f for f in result.suppressed if f.rule.startswith("race-")]
-    assert len(suppressed) == 9
+    assert len(suppressed) == 6
     by_path = {f.path for f in suppressed}
     assert by_path == {
         "src/repro/parallel/pool.py", "src/repro/serve/server.py",

@@ -196,12 +196,18 @@ class TestUnifiedOptionsApi:
     def test_serve_options_validation(self):
         with pytest.raises(ConfigError, match="concurrency"):
             ServeOptions(concurrency=0)
-        with pytest.raises(ConfigError, match="share"):
-            ServeOptions(share="fork")
         with pytest.raises(ConfigError, match="unknown serve option"):
             ServeOptions.from_kwargs(None, bogus=1)
         base = ServeOptions(concurrency=3)
-        assert ServeOptions.from_kwargs(base, nworkers=2).concurrency == 3
+        assert ServeOptions.from_kwargs(base, max_queue_depth=2).concurrency == 3
+
+    def test_worker_pool_options_are_refused(self):
+        """Every served job runs inline; there is no process-pool path."""
+        with pytest.raises(TypeError):
+            ServeOptions(nworkers=2)
+        for name, value in (("nworkers", 2), ("share", "shm")):
+            with pytest.raises(ConfigError, match="unknown serve option"):
+                ServeOptions.from_kwargs(None, **{name: value})
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +268,22 @@ class TestServedBitIdentity:
         with Client(server.host, server.port) as cli:
             result = cli.app("count_triangles", g)
         assert result["value"] == count_triangles(g)
+
+    def test_app_reply_reports_kernel_counters(self, server):
+        from repro.apps import count_triangles
+        from repro.core.instrument import KernelStats
+        from repro.core.plan import PlanCache
+
+        g = er_matrix(6, 6, seed=26)
+        job = build_job("app", job_id="tri-stats", app="count_triangles")
+        job["adjacency"] = csr_to_wire(g)
+        with Client(server.host, server.port) as cli:
+            reply = cli.submit(job)
+        direct = KernelStats()
+        value = count_triangles(g, plan_cache=PlanCache(), stats=direct)
+        assert reply["result"]["value"] == value
+        assert direct.flops > 0
+        assert reply["stats"]["flops"] == direct.flops
 
     def test_ping_and_bad_requests(self, server):
         with Client(server.host, server.port) as cli:
@@ -418,6 +440,44 @@ class TestAdmissionControl:
             with pytest.raises(ServeError) as exc_info:
                 submit_job(handle.host, handle.port, job)
             assert exc_info.value.code == "deadline-exceeded"
+
+    def test_timed_out_job_keeps_its_slot_until_it_finishes(self, monkeypatch):
+        """A deadline-exceeded reply does not free the job's slot: its
+        compute thread is still running, so the snapshot counts it in
+        flight and a drain cannot report clean until it finishes."""
+        import asyncio
+
+        gate = threading.Event()
+
+        def gated(server, payload):
+            gate.wait(30)
+            return {"ok": True, "result": {}}, None, None
+
+        monkeypatch.setattr(server_mod, "_execute_job", gated)
+        handle = serve_in_thread(concurrency=1, drain_timeout_s=0.2)
+        try:
+            g = er_matrix(3, 3, seed=36)
+            job = build_job(
+                "spgemm", job_id="gated", a=g, b=g, deadline_ms=50,
+                options=SpgemmOptions(algorithm="hash"),
+            )
+            with pytest.raises(ServeError) as exc_info:
+                submit_job(handle.host, handle.port, job)
+            assert exc_info.value.code == "deadline-exceeded"
+            with Client(handle.host, handle.port) as cli:
+                assert cli.stats()["queue"]["in_flight"] == 1
+
+            def drain():
+                return asyncio.run_coroutine_threadsafe(
+                    handle.server.drain(), handle._loop
+                ).result(timeout=30)
+
+            assert drain() is False
+            gate.set()
+            assert drain() is True
+        finally:
+            gate.set()
+            handle.stop()
 
     def test_expired_while_queued_never_reaches_executor(self, monkeypatch):
         """A job whose deadline lapses in the queue fails at dispatch.
