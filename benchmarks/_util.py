@@ -157,14 +157,13 @@ def lint_status() -> "tuple[tuple[str, object], ...]":
     )
 
 
-def record_json(name: str, payload: dict, *, mirror_repo_root: bool = False) -> Path:
+def record_json(name: str, payload: dict) -> Path:
     """Persist a machine-readable benchmark record as ``<name>.json``.
 
     The record is annotated with timestamp, interpreter/platform info and
     the contract-linter verdict (see :func:`lint_status`) so the perf
-    trajectory is comparable across PRs.  ``mirror_repo_root=True``
-    additionally writes a copy next to the repository root (for records,
-    like ``BENCH_engine.json``, that are committed as part of the PR).
+    trajectory is comparable across PRs.  Records land in
+    ``benchmarks/results/``, their one home.
     """
     record = dict(payload)
     record.setdefault("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S%z"))
@@ -175,8 +174,6 @@ def record_json(name: str, payload: dict, *, mirror_repo_root: bool = False) -> 
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(text)
-    if mirror_repo_root:
-        (Path(__file__).resolve().parent.parent / f"{name}.json").write_text(text)
     return path
 
 

@@ -1,4 +1,6 @@
-"""Calibrated selector vs the static Table-4 recipe; writes ``BENCH_autotune.json``.
+"""Calibrated selector vs the static Table-4 recipe.
+
+Writes ``benchmarks/results/BENCH_autotune.json``.
 
 The static recipe transplants the paper's Table 4 verbatim — including
 its faith in the MKL-inspector proxy for unsorted high-CR products, which
@@ -175,7 +177,6 @@ def test_autotune_record():
                 "agreements": agreements,
             },
         },
-        mirror_repo_root=True,
     )
     print(
         f"\nautotune: static {static_total:.3f}s vs calibrated "

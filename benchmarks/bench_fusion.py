@@ -1,4 +1,6 @@
-"""Fused chain execution vs unfused pipelines; writes ``BENCH_fusion.json``.
+"""Fused chain execution vs unfused pipelines.
+
+Writes ``benchmarks/results/BENCH_fusion.json``.
 
 Two fusable shapes are measured, each against the pipeline it replaces and
 asserted bit-identical to it:
@@ -207,7 +209,6 @@ def test_fusion_record():
                 "saved_output_elements": gain.saved_output_elements,
             },
         },
-        mirror_repo_root=True,
     )
     if FUSION_SCALE >= 13:
         assert headline is not None and headline >= 1.5, (

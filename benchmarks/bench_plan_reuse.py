@@ -1,4 +1,6 @@
-"""Amortized inspector–executor speedup; writes ``BENCH_plan.json``.
+"""Amortized inspector–executor speedup.
+
+Writes ``benchmarks/results/BENCH_plan.json``.
 
 The plan layer's bargain is MKL-inspector's (§4.1, Table 3): pay the
 symbolic phase once, replay numeric-only while the sparsity pattern holds.
@@ -107,7 +109,6 @@ def test_plan_reuse_record():
             "entries": entries,
             "cache_probe": {"misses": cache.misses, "hits": cache.hits},
         },
-        mirror_repo_root=True,
     )
     if PLAN_SCALE >= 14:
         for algorithm in ("hash", "hashvec"):

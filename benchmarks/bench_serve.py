@@ -1,4 +1,6 @@
-"""Served SpGEMM under open-loop load; writes ``BENCH_serve.json``.
+"""Served SpGEMM under open-loop load.
+
+Writes ``benchmarks/results/BENCH_serve.json``.
 
 The server's bargain (docs/serving.md) is the plan layer's, socialized:
 one process-wide :class:`~repro.core.plan.PlanCache` answers every
@@ -167,5 +169,4 @@ def test_serve_record():
             "bit_identical": True,
             "clean_drain": clean,
         },
-        mirror_repo_root=True,
     )

@@ -12,17 +12,16 @@ Public surface (see README for a tour):
   (hash / hashvec / heap / spa / mkl / mkl_inspector / kokkos / esc) and
   semiring, over :class:`repro.CSR` matrices; configuration canonicalizes
   into frozen :class:`repro.SpgemmOptions` / :class:`repro.ChainOptions`
-  values shared by every entry point (``multiply_chain``,
-  ``masked_spgemm``, ``parallel_spgemm`` accept the same shape);
+  values shared by every entry point (``multiply_chain`` and
+  ``masked_spgemm`` accept the same shape); fresh batched products run
+  their rows as flop-balanced parts on real threads
+  (:mod:`repro.core.threads`, ``docs/concurrency.md``);
 * :class:`repro.SpgemmPlan` / :class:`repro.PlanCache` — the
   inspector–executor plan layer: pay structure discovery once, replay it
   numeric-only on every same-structure product (``docs/plans.md``);
 * :func:`repro.multiply_chain` / :func:`repro.masked_spgemm` — chain and
   masked products with streamed sandwich fusion, so R·A·P never
   materializes an intermediate (``docs/fusion.md``);
-* :mod:`repro.parallel` — real process-parallel SpGEMM over zero-copy
-  shared-memory operand transport, for the kernels that do not run on
-  threads (the batched kernels thread in :mod:`repro.core.threads`);
 * :mod:`repro.serve` — SpGEMM-as-a-service: a multi-tenant asyncio server
   on the ``repro-job/1`` wire schema, with admission control, shared plan
   cache and a metrics endpoint (``docs/serving.md``);
@@ -106,7 +105,6 @@ from .autotune import (
     run_calibration,
     set_active_profile,
 )
-from .parallel import parallel_spgemm
 from .serve import Client, ServeOptions, Server, serve_in_thread, submit_job
 
 __version__ = "1.0.0"
@@ -164,7 +162,6 @@ __all__ = [
     "render_tree",
     "render_breakdown",
     "phase_breakdown",
-    "parallel_spgemm",
     "Server",
     "Client",
     "submit_job",

@@ -1,9 +1,9 @@
 """repro.analysis — AST-based contract linter for the repro codebase.
 
 The kernels' correctness contracts (one dispatch surface over many kernels,
-ordered floating-point accumulation, shared-memory hygiene, determinism,
-CSR construction discipline) live in docstrings and property tests; this
-package makes them *machine-checked on every CI run*.
+ordered floating-point accumulation, determinism, thread-part write
+ownership, CSR construction discipline) live in docstrings and property
+tests; this package makes them *machine-checked on every CI run*.
 
 Usage::
 
@@ -27,7 +27,6 @@ rules and how to add one.
 """
 
 from .baseline import load_baseline, write_baseline
-from .dynamic import load_dynamic_findings, sanitizer_rules
 from .findings import Finding
 from .graph import ProjectGraph, build_project_graph
 from .registry import (
@@ -54,6 +53,4 @@ __all__ = [
     "validate_sarif",
     "ProjectGraph",
     "build_project_graph",
-    "load_dynamic_findings",
-    "sanitizer_rules",
 ]

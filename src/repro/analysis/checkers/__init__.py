@@ -17,6 +17,5 @@ from . import (  # noqa: F401  (imports register the checkers)
     numerics,
     plan_purity,
     race,
-    shm_lifecycle,
     span_discipline,
 )

@@ -26,7 +26,7 @@ This project-scope checker consumes the module-level import edges from
   ``NULL_TRACER`` and ``tracer_from_env`` from ``repro.observability`` at
   module level: kernels accept any tracer object duck-typed, and the
   null-object default keeps the hot path free of conditional imports.
-  (``parallel``/``apps`` sit above both layers and may import freely.)
+  (``apps``/``serve`` sit above both layers and may import freely.)
 
 The root package ``__init__`` and ``__main__`` modules are exempt — they
 are the public facade and *should* re-export across layers.
@@ -48,12 +48,11 @@ ALLOWED_IMPORTS: "dict[str, frozenset[str]]" = {
     "rmat": frozenset({"errors", "matrix", "semiring"}),
     "datasets": frozenset({"errors", "matrix", "rmat", "semiring"}),
     "core": frozenset({"errors", "semiring", "matrix", "observability"}),
-    "parallel": frozenset({"errors", "semiring", "matrix", "core", "observability"}),
     "distributed": frozenset({"errors", "matrix", "core", "semiring"}),
     "apps": frozenset({"errors", "matrix", "core", "semiring", "observability"}),
     "serve": frozenset({
-        "errors", "semiring", "matrix", "core", "parallel", "observability",
-        "apps", "autotune",
+        "errors", "semiring", "matrix", "core", "observability", "apps",
+        "autotune",
     }),
     "perfmodel": frozenset({"errors", "machine", "matrix", "core"}),
     "autotune": frozenset({

@@ -1,47 +1,46 @@
 """The ``race`` checker family: statically prove the write-ownership model.
 
-The zero-copy pool (:mod:`repro.parallel.pool`) rests on the paper's
-Section 4.3 discipline — every worker owns a *disjoint* row block of the
-output and treats the shared operands as read-only.  That invariant is
-easy to eyeball in a 400-line module and impossible to eyeball once the
-pool becomes a long-lived, multi-tenant substrate (ROADMAP items 1 and 2).
-These five project-scope rules make it machine-checked:
+The one parallel tier (:mod:`repro.core.threads`) rests on the paper's
+Section 4.3 discipline — every part owns a *disjoint* row range of the
+output, works in its own thread's scratch arena and treats the operands
+as read-only.  Parts reach the shared
+:class:`~concurrent.futures.ThreadPoolExecutor` through its ``submit``
+dispatch point, and everything reachable from a dispatched callable is a
+worker context.  These five project-scope rules make the discipline
+machine-checked:
 
-* ``race-operand-write`` — a worker mutates an operand it received over a
-  shared transport (an unpacked shm view, a fork-mailbox read), or any
-  worker-reachable code re-enables writability of a view
+* ``race-operand-write`` — a worker mutates an operand it received from a
+  shared source (an unpacked view, a read of a module-global mailbox), or
+  any worker-reachable code re-enables writability of a view
   (``x.flags.writeable = True``).  Operands are read-only in workers, full
-  stop — the dynamic sanitizer (``REPRO_SANITIZE=shm``,
-  :mod:`repro.parallel.sanitizer`) enforces the same contract at runtime.
+  stop.
 * ``race-block-overlap`` — slice writes into a module-global array from
   worker-reachable code whose range cannot be disjoint across workers:
   either two different worker entry points write the same shared array, or
   the written range is constant (``OUT[0:8]``, ``OUT[:]``) instead of
   derived from the task assignment.
-* ``race-global-mutation`` — mutation of fork-inherited module globals
-  (the ``_FORK_OPERANDS`` / ``_SHM_HANDLES`` pattern) or of an imported
-  module's attributes from code reachable from any process context.  Under
-  ``fork`` such writes silently diverge between parent and child; under
-  ``spawn`` they silently vanish.  Sanctioned setup paths carry a
-  ``# repro-lint: disable=race-global-mutation`` with a justification.
+* ``race-global-mutation`` — mutation of module globals or of an imported
+  module's attributes from code reachable from any dispatching context.
+  Every thread sees such a write at once (and a forked child keeps its own
+  copy), so it races with every other part.  Sanctioned setup paths carry
+  a ``# repro-lint: disable=race-global-mutation`` with a justification.
 * ``race-spawn-capture`` — a lambda or nested function handed to a
-  pool/process dispatch point.  These pickle by qualified name, so a
-  spawned child cannot reconstruct them; working today under ``fork`` just
-  means the bug is platform-shaped.
+  dispatch point.  A closure drags its enclosing frame's state into the
+  worker, and the same call handed to a process pool could not be
+  pickled; part bodies are module-level functions that read only their
+  arguments.
 * ``race-unlocked-shared`` — a module-global dict/list mutated from more
-  than one process context (two worker entries, or a worker and the
-  parent) with no enclosing ``with <lock>`` at some site.
+  than one context (two worker entries, or a worker and its dispatcher)
+  with no enclosing ``with <lock>`` at some site.
 
 All five share one model of the tree, built from the project graph's
 dispatch points (:attr:`~repro.analysis.graph.CallGraph.dispatches`),
 write events (:meth:`~repro.analysis.graph.CallGraph.writes_of`) and call
 reachability.  The rules self-gate: a tree with no dispatch point (every
-fixture tree but ``race_bad``, and any project that never forks) produces
-no findings.  The observability layer and the sanitizer itself are exempt
-by construction — both maintain deliberately per-process observational
-state (the env tracer, the sanitizer ledger) whose divergence between
-processes is the design, not a bug; traced==untraced bit-identity is
-property-tested, and the sanitizer never feeds results back into kernels.
+fixture tree but ``race_bad``) produces no findings.  The observability
+layer is exempt by construction — it keeps deliberately per-context
+observational state (the env tracer) that never feeds results back into
+kernels; traced==untraced bit-identity is property-tested.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ _MUTATION_KINDS = frozenset(
 _COLLECTION_KINDS = frozenset({"mutating-call", "del-subscript"})
 
 #: Path fragments exempt from the race family (see module docstring).
-_EXEMPT_FRAGMENTS = ("observability/", "parallel/sanitizer.py")
+_EXEMPT_FRAGMENTS = ("observability/",)
 
 
 def _is_exempt(relpath: str) -> bool:
@@ -194,9 +193,9 @@ class _RaceChecker(Checker):
 def _tainted_operands(entry_def, model: _RaceModel) -> "set[str]":
     """Names in a worker entry bound from a shared-operand source.
 
-    A source is a call whose bare name contains ``unpack`` (the shm view
-    reconstruction) or a subscript read of a module global (the fork
-    mailbox).  Tuple targets taint every element.
+    A source is a call whose bare name contains ``unpack`` (a shared view
+    reconstruction) or a subscript read of a module global (a mailbox).
+    Tuple targets taint every element.
     """
     tainted: "set[str]" = set()
     globals_ = model.globals_of(entry_def.qualname)
@@ -239,8 +238,9 @@ def _bare_name(func: ast.AST) -> "str | None":
 class OperandWriteChecker(_RaceChecker):
     rule = "race-operand-write"
     description = (
-        "workers never mutate shared operands (shm views / fork-mailbox "
-        "reads) and never re-enable writability of a view"
+        "workers never mutate shared operands (unpacked views / "
+        "module-global mailbox reads) and never re-enable writability of "
+        "a view"
     )
 
     def _check_model(self, model: _RaceModel):
@@ -253,9 +253,8 @@ class OperandWriteChecker(_RaceChecker):
             if tainted:
                 yield from self._flag_writes(model, entry, entry, tainted)
                 yield from self._one_hop(model, d, entry, tainted)
-        # writability flips anywhere worker-reachable, tainted or not: the
-        # read-only flag is the sanitizer's enforcement surface and turning
-        # it back on is always a contract violation.
+        # writability flips anywhere worker-reachable, tainted or not:
+        # turning a read-only view writable is always a contract violation.
         for qual in model.checkable(model.worker_quals()):
             d = calls.defs[qual]
             for event in calls.writes_of(qual):

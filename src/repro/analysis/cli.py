@@ -21,7 +21,6 @@ import os
 import sys
 
 from .baseline import load_baseline, write_baseline
-from .dynamic import load_dynamic_findings, sanitizer_rules
 from .registry import analyze_paths, available_rules
 from .sarif import sarif_report
 
@@ -76,13 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only rules matching these glob patterns (e.g. "
         "'numeric-*,race-*'); lets CI split one lint run into parallel "
         "per-family jobs",
-    )
-    parser.add_argument(
-        "--dynamic",
-        metavar="FILE",
-        help="merge runtime findings from a sanitizer report (JSON lines "
-        "written under REPRO_SANITIZE=shm / REPRO_SANITIZE_REPORT) into "
-        "the result as active findings",
     )
     parser.add_argument(
         "--root",
@@ -150,10 +142,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.list_rules:
         for rule, description in available_rules():
             print(f"{rule:<18s} {description}")
-        # The dynamic half shares the reporting pipeline, so its rules are
-        # part of the vocabulary even though no checker implements them.
-        for rule, description in sanitizer_rules():
-            print(f"{rule:<18s} [dynamic] {description}")
         return 0
 
     paths = args.paths
@@ -223,13 +211,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-
-    if args.dynamic:
-        try:
-            result.findings.extend(load_dynamic_findings(args.dynamic))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     exit_code = 0 if result.clean else 1
     if args.write_baseline:

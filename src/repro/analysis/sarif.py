@@ -42,10 +42,6 @@ _TOOL_URI = "docs/static-analysis.md"
 
 
 def _rules_metadata() -> "list[dict]":
-    # The dynamic sanitizer rules are declared unconditionally so a merged
-    # run (--dynamic) validates and a static-only run still documents them.
-    from .dynamic import sanitizer_rules
-
     rules = [
         {
             "id": rule,
@@ -53,7 +49,7 @@ def _rules_metadata() -> "list[dict]":
             "shortDescription": {"text": description},
             "defaultConfiguration": {"level": "error"},
         }
-        for rule, description in (*available_rules(), *sanitizer_rules())
+        for rule, description in available_rules()
     ]
     rules.append(
         {

@@ -103,6 +103,7 @@ def triangle_counts_per_vertex(
     masked: bool = True,
     plan_cache=None,
     stats=None,
+    tracer=None,
 ) -> np.ndarray:
     """Number of triangles through each vertex.
 
@@ -111,23 +112,29 @@ def triangle_counts_per_vertex(
     With the default ``masked=True`` the product and the mask are one fused
     ``A²⟨A⟩`` call — off-pattern paths never reach the output;
     ``algorithm`` applies only to the unfused path.  ``stats`` collects
-    the product's counters, as in :func:`count_triangles`.
+    the product's counters and a ``tracer`` its spans, as in
+    :func:`count_triangles`.
     """
     if adjacency.nrows != adjacency.ncols:
         raise ShapeError("adjacency must be square")
-    a = pattern(adjacency)
-    if masked:
-        closed = masked_spgemm(
-            a, a, a, semiring=PLUS_TIMES, engine=engine,
-            plan_cache=plan_cache, stats=stats,
-        )
-    else:
-        a2 = spgemm(
-            a, a, algorithm=algorithm, semiring=PLUS_TIMES, engine=engine,
-            plan_cache=plan_cache, stats=stats,
-        )
-        closed = elementwise_multiply(a, a2)
-    out = np.zeros(a.nrows)
-    rows, _, vals = closed.to_coo()
-    np.add.at(out, rows, vals)
+    obs = tracer if tracer is not None else NULL_TRACER
+    with obs.span(
+        "triangle_counts_per_vertex", phase="other", nnz=adjacency.nnz
+    ):
+        a = pattern(adjacency)
+        if masked:
+            closed = masked_spgemm(
+                a, a, a, semiring=PLUS_TIMES, engine=engine,
+                plan_cache=plan_cache, stats=stats, tracer=tracer,
+            )
+        else:
+            a2 = spgemm(
+                a, a, algorithm=algorithm, semiring=PLUS_TIMES,
+                engine=engine, plan_cache=plan_cache, stats=stats,
+                tracer=tracer,
+            )
+            closed = elementwise_multiply(a, a2)
+        out = np.zeros(a.nrows)
+        rows, _, vals = closed.to_coo()
+        np.add.at(out, rows, vals)
     return (out / 2.0).astype(np.int64)

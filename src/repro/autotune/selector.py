@@ -11,7 +11,7 @@ the static recipe — bit-identical, including the degenerate-input guard.
 
 :func:`resolve_auto` is the hook behind the one ``algorithm="auto"`` path,
 ``repro.core.spgemm._resolve_auto``, which ``spgemm``, the plan layer,
-chains, ``serve`` and ``parallel_spgemm`` share: it returns the
+chains and ``serve`` share: it returns the
 chosen algorithm plus an observation callback (None on the static path)
 that the caller feeds the measured wall seconds of the full multiply,
 closing the loop.

@@ -13,12 +13,17 @@ Executable algorithms (all validated against a dense oracle):
 * :mod:`repro.core.kokkos_like` — behavioural proxy for KokkosKernels'
   two-level hashmap (`kkmem`);
 * :mod:`repro.core.esc_spgemm` — fully vectorized expand-sort-compress
-  SpGEMM used as the fast oracle at scale.
+  SpGEMM used as the fast oracle at scale: the ``"esc"`` order of the
+  batched block loop (:mod:`repro.core.hash_batch`), which every batched
+  kernel shares.
 
 Shared machinery:
 
 * :mod:`repro.core.scheduler` — the paper's light-weight load-balanced
   thread assignment (Fig. 6) plus static/dynamic/guided models;
+* :mod:`repro.core.threads` — the one real parallel tier: a product's
+  rows as flop-balanced parts on a shared thread executor, each part in
+  its thread's scratch arena;
 * :mod:`repro.core.symbolic` — vectorized symbolic phase (exact per-row
   ``nnz(C)``) and expansion helpers;
 * :mod:`repro.core.accumulators` — reusable hash-table / heap / SPA

@@ -25,7 +25,7 @@ the kernel it runs.
 Algorithms without a batched implementation (the Heap family and the
 ``mkl``/``kokkos`` proxies, whose element-level behaviour *is* their
 purpose) fall back to the faithful kernel under ``engine="fast"``; ``esc``
-is inherently vectorized, so both engines run the same code for it.
+is inherently vectorized, so both engines run its batched order.
 
 The :class:`ScratchArena` is the engine-level realization of the paper's
 "parallel" memory-management scheme (§5.3.1): rather than allocating fresh
@@ -102,8 +102,8 @@ def resolve_engine(engine: str, algorithm: "str | None" = None) -> str:
     ``"fast"`` resolves to ``"faithful"`` for an ``algorithm`` whose table
     row has no fast kernel (heap/merge/blocked SPA and the ``mkl``/
     ``kokkos`` proxies — their element-level behaviour is the point), and
-    stays ``"fast"`` for the hash family, SPA, ``mkl_inspector`` and the
-    inherently-vectorized ESC.
+    stays ``"fast"`` for every row with a ``batch_order``: the hash family,
+    SPA, ``mkl_inspector`` and ESC.
     """
     if engine == "auto":
         engine = "fast"

@@ -1,6 +1,7 @@
-"""Batched (numpy-vectorized) execution of the hash-family kernels and SPA.
+"""Batched (numpy-vectorized) execution of the hash-family kernels, SPA and ESC.
 
-This is the ``engine="fast"`` implementation behind :func:`repro.spgemm`.
+This is the ``engine="fast"`` implementation behind :func:`repro.spgemm`,
+and ESC's kernel on both engines.
 Instead of probing a hash table per element in Python, a whole flop-bounded
 row block is processed at once:
 
@@ -21,12 +22,15 @@ row block is processed at once:
    *arrival order* (:meth:`repro.semiring.Semiring.accumulate_segments`
    on the sort path) — exactly how the scalar kernels accumulate,
    float-for-float the same values (``reduceat`` would sum pairwise and
-   drift by ULPs).
+   drift by ULPs).  ESC's ``"esc"`` order is the one exception: its
+   contract is a sorted merge, so it folds each sorted segment pairwise
+   with :meth:`~repro.semiring.Semiring.reduce_segments`.
 
 Output *ordering* is then emulated per algorithm so the result is
 indistinguishable from the faithful kernel's:
 
-* sorted output — ascending column (all kernels agree);
+* sorted output — ascending column (all kernels agree; ESC too, with its
+  own fold);
 * ``hash`` / ``spa`` / ``mkl_inspector`` unsorted — **first-occurrence
   order**.  The scalar hash table extracts via its ``occupied`` list,
   which records keys in first insertion order, and SPA (the MKL
@@ -90,6 +94,9 @@ __all__ = ["batch_hash_spgemm"]
 
 #: A first-touch table entry no walk is using: past every arrival index.
 _UNTOUCHED = np.iinfo(INDPTR_DTYPE).max
+
+#: Block-loop orders whose rows come out sorted by column.
+_SORTED_ORDERS = ("sorted", "esc")
 
 
 def _coordinate_segments(
@@ -324,7 +331,7 @@ def batch_hash_spgemm(
     rows, sort volume) — per-probe counts exist only on the faithful
     engine, by design.  With a ``tracer``,
     per-block expand/bucket/reduce times accumulate into numeric/sort/stitch
-    phase spans reported once at the end (like the ESC kernel).
+    phase spans reported once at the end.
     """
     if a.ncols != b.nrows:
         raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
@@ -371,13 +378,14 @@ def _batch_blocks(
     arena: ScratchArena | None = None,
     tracer=None,
 ) -> CSR:
-    """The block loop of both batched kernels, on real threads.
+    """The block loop of every batched kernel, on real threads.
 
     Each flop-bounded row block is expanded, optionally gated by ``mask``
     membership (filtering keeps the arrival order), multiplied, grouped by
     output coordinate, folded in arrival order and emitted in ``order``
     (``"sorted"``, ``"first_touch"`` or ``"hashvec"``; ``vhash`` carries
-    the ``hashvec`` chunk geometry).  The blocks live in the row ranges of
+    the ``hashvec`` chunk geometry), or sorted and folded pairwise
+    (``"esc"``).  The blocks live in the row ranges of
     :func:`~repro.core.threads.run_row_parts`, cut from ``flop`` (per-row
     flop, counted here when not given); parts run by the calling thread
     use ``arena``.  ``stats`` gets the coarse ledger entries, and with a
@@ -443,7 +451,7 @@ def _batch_blocks(
             )
     return CSR(
         (nrows, ncols), indptr, out_indices, out_data,
-        sorted_rows=order == "sorted",
+        sorted_rows=order in _SORTED_ORDERS,
     )
 
 
@@ -556,16 +564,20 @@ def _batch_part(
                 out=arena.take("key", n, INDPTR_DTYPE).view(VALUE_DTYPE),
             )
             lap("sort")
-            # ufunc.reduceat sums pairwise for float accuracy, which is
-            # *not* the scalar kernels' left-to-right sequence.
-            seg_vals = sr.accumulate_segments(v_s, new_run, starts)
+            if order == "esc":
+                # ESC's contract is a sorted merge, so it folds pairwise.
+                seg_vals = sr.reduce_segments(v_s, starts)  # repro-lint: disable=accum-order
+            else:
+                # ufunc.reduceat sums pairwise for float accuracy, which is
+                # *not* the scalar kernels' left-to-right sequence.
+                seg_vals = sr.accumulate_segments(v_s, new_run, starts)
         del vals
         row_nnz[r0 - lo : r1 - lo] += np.bincount(
             seg_rows - r0, minlength=r1 - r0
         )
         lap("numeric")
 
-        if grouped is None and order != "sorted":
+        if grouped is None and order not in _SORTED_ORDERS:
             first_idx = perm[starts]  # arrival of each distinct key
             if order == "first_touch":
                 # Rows are disjoint in arrival space, so listing segments by
@@ -592,6 +604,8 @@ def _batch_part(
     stats = KernelStats(flops=total_flop, output_nnz=nnz, rows=hi - lo)
     if order == "sorted":
         stats.sorted_elements = nnz
+    elif order == "esc":
+        stats.sorted_elements = total_flop  # ESC's sort touches every product
     if mask is not None:
         stats.spa_touches = total_flop
         stats.masked_kept = kept_total

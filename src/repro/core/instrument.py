@@ -71,12 +71,6 @@ class KernelStats:
     masked_kept: int = 0
     #: rows processed
     rows: int = 0
-    #: shm-sanitizer audit checks performed (``REPRO_SANITIZE=shm``):
-    #: segment digests, claim registrations, block/claim comparisons
-    sanitize_checks: int = 0
-    #: shm-sanitizer violations observed (nonzero only on runs that raised
-    #: ``SanitizerError`` — the counter lands on the span before the raise)
-    sanitize_violations: int = 0
     #: inspector–executor plan-cache hits (``spgemm(..., plan_cache=...)``)
     plan_hits: int = 0
     #: inspector–executor plan-cache misses (inspection had to run)

@@ -493,12 +493,13 @@ def _inspect(a: CSR, b: CSR, options: SpgemmOptions, fps: tuple) -> SpgemmPlan:
         "plan.inspect", phase="inspect",
         algorithm=algorithm, engine=engine, nrows=a.nrows,
     ):
-        if engine == "fast" or info.vectorized:
-            # Mirrors batch_hash_spgemm (and the ESC kernel) step for step,
-            # minus the value arithmetic.
-            sort_output = info.sorts(options.sort_output)
+        sort_output = info.sorts(options.sort_output)
+        order = info.batch_output_order(sort_output)
+        if engine == "fast" or order == "esc":
+            # Mirrors batch_hash_spgemm step for step, minus the value
+            # arithmetic; ESC's faithful kernel is the batched one too.
             vhash = None
-            if info.batch_output_order(sort_output) == "hashvec":
+            if order == "hashvec":
                 lanes = lanes_for_vector_bits(options.vector_bits)
                 vhash = (
                     *_vhash_geometry(
@@ -508,7 +509,7 @@ def _inspect(a: CSR, b: CSR, options: SpgemmOptions, fps: tuple) -> SpgemmPlan:
                     lanes,
                 )
             indptr, indices, blocks = _inspect_blocks(
-                a, b, sort_output, esc=algorithm == "esc", vhash=vhash
+                a, b, sort_output, esc=order == "esc", vhash=vhash
             )
             plan = SpgemmPlan(
                 options=options, algorithm=algorithm, engine=engine,
@@ -535,12 +536,12 @@ def _inspect_blocks(
 ) -> "tuple[np.ndarray, np.ndarray, list[_BlockRecipe]]":
     """Structure pass of the batched kernels, caching every permutation.
 
-    The block loop of :func:`repro.core.hash_batch.batch_hash_spgemm`, the
-    ESC kernel and the batched masked kernel (``mask``/``complement``: the
-    same membership filter), minus the value arithmetic: same blocks, the
-    stable coordinate sort, same output order — first occurrence, or the
-    HashVector chunk-table order when ``vhash`` carries its
-    ``(chunk_mask, cap_row, lanes)`` geometry.  Returns the output
+    The block loop of :func:`repro.core.hash_batch._batch_blocks` (the
+    batched kernels, ESC and the masked kernel: ``mask``/``complement``
+    give the same membership filter), minus the value arithmetic: same
+    blocks, the stable coordinate sort, same output order — first
+    occurrence, or the HashVector chunk-table order when ``vhash`` carries
+    its ``(chunk_mask, cap_row, lanes)`` geometry.  Returns the output
     ``indptr``/``indices`` and one recipe per non-empty block.
     """
     nrows, ncols = a.nrows, b.ncols

@@ -8,8 +8,7 @@ The table :data:`ALGORITHMS` is the executable form of the paper's Table 1
 ("Summary of SpGEMM codes studied in this paper") and the one home of every
 per-algorithm fact: each row carries its kernels, which engines run it,
 whether it has a plan, what may select it and its output rule.  Dispatch,
-engine resolution, the plan layer, the selectors and the process pool all
-read the row.
+engine resolution, the plan layer and the selectors all read the row.
 """
 
 from __future__ import annotations
@@ -80,10 +79,10 @@ class AlgorithmInfo:
         The order the batched
         :func:`~repro.core.hash_batch.batch_hash_spgemm` reproduces when it
         runs the row's unsorted output (``"first_touch"`` or
-        ``"hashvec"``); None when the batched kernel does not run the row.
-    vectorized:
-        True when ``kernel`` itself is vectorized and serves both engines
-        (ESC).  A row with neither this nor a ``batch_order`` is
+        ``"hashvec"``), or, for an always-sorted row, the block-loop order
+        it always runs (``"esc"``: sorted rows folded pairwise, which the
+        ``"sorted"`` order's arrival-order fold does not reproduce).  None
+        when the batched kernel does not run the row: the row is
         faithful-only (see :attr:`fast_kernel`).
     planned:
         Whether the row has an inspector–executor split
@@ -100,7 +99,6 @@ class AlgorithmInfo:
     kernel: Callable
     selected_by: str
     batch_order: "str | None" = None
-    vectorized: bool = False
     planned: bool = False
     is_proxy: bool = False
 
@@ -108,9 +106,7 @@ class AlgorithmInfo:
     def fast_kernel(self) -> "Callable | None":
         """The kernel ``engine="fast"`` runs; None for a faithful-only row
         (``engine="fast"`` falls back to ``kernel``)."""
-        if self.batch_order is not None:
-            return batch_hash_spgemm
-        return self.kernel if self.vectorized else None
+        return None if self.batch_order is None else batch_hash_spgemm
 
     def sorts(self, sort_output: bool) -> bool:
         """Whether the output rows come out sorted for the caller's
@@ -123,8 +119,8 @@ class AlgorithmInfo:
         """The batched kernel's output order: ``"sorted"`` or
         :attr:`batch_order` (None: no batched kernel).  Two rows with one
         order produce the same bytes."""
-        if self.batch_order is None:
-            return None
+        if self.batch_order is None or self.output_sorted == "sorted":
+            return self.batch_order
         return "sorted" if self.sorts(sort_output) else self.batch_order
 
     def table_row(self) -> str:
@@ -138,7 +134,7 @@ class AlgorithmInfo:
 
 
 #: Executable table mirroring Table 1 of the paper.  Rows without a
-#: ``batch_order`` or ``vectorized`` are faithful-only: the Heap family's element-level merge
+#: ``batch_order`` are faithful-only: the Heap family's element-level merge
 #: order and the proxies' operation streams are their purpose.  Rows
 #: without a plan either have no symbolic artifact to cache (the one-phase
 #: Heap/Merge/blocked-SPA designs discover structure and values together)
@@ -183,10 +179,11 @@ ALGORITHMS: "dict[str, AlgorithmInfo]" = {
         selected_by="never", is_proxy=True,
     ),
     # Distributed/GPU-lineage kernel studied for SUMMA node-local use
-    # (§5.7), outside Table 4's shared-memory scope; inherently vectorized.
+    # (§5.7), outside Table 4's shared-memory scope; inherently
+    # vectorized, so both engines run its batched order.
     "esc": AlgorithmInfo(
         "esc", 2, "Sort+Reduce", "any", "sorted", kernel=esc_spgemm,
-        selected_by="calibrated", vectorized=True, planned=True,
+        selected_by="calibrated", batch_order="esc", planned=True,
     ),
     # Extensions beyond the paper's Table 1, from its related-work section:
     # column-blocked SPA (Patwary et al. 2015) and iterative row merging

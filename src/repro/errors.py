@@ -15,7 +15,6 @@ __all__ = [
     "ConfigError",
     "DatasetError",
     "PlanError",
-    "SanitizerError",
     "ServeError",
     "invalid_choice",
 ]
@@ -55,14 +54,6 @@ class PlanError(ReproError, ValueError):
     structure the plan was inspected on — always *before* any numeric work
     touches the cached structure.
     """
-
-
-class SanitizerError(ReproError, RuntimeError):
-    """The shm sanitizer (``REPRO_SANITIZE=shm``) observed a violation of
-    the pool's write-ownership model: an operand segment mutated under the
-    workers, overlapping or out-of-claim output writes, or a leaked
-    segment.  Raised at pool teardown, after the violation report has been
-    written (see :mod:`repro.parallel.sanitizer`)."""
 
 
 class ServeError(ReproError, RuntimeError):

@@ -317,11 +317,11 @@ class CSR:
 
         ``indices``/``data`` are *views* into the receiver (zero copy; only
         the rebased ``indptr`` is allocated), which is what lets the fused
-        chain executor stream a product block-by-block and the process pool
-        hand each worker its rows without duplicating the operand.  The
-        usual immutability contract covers the views.  A sorted receiver
-        yields sorted blocks for free; a block of an unsorted receiver is
-        re-detected, since its own rows may well be sorted.
+        chain executor stream a product block-by-block without duplicating
+        the operand.  The usual immutability contract covers the views.  A
+        sorted receiver yields sorted blocks for free; a block of an
+        unsorted receiver is re-detected, since its own rows may well be
+        sorted.
         """
         if not (0 <= row_start <= row_end <= self.nrows):
             raise ShapeError(

@@ -1,8 +1,8 @@
 """Unified phase-tracing observability layer.
 
 One measurement spine for the whole package, replacing the scattered
-ad-hoc timing the tentpole consolidates: kernels, the plan layer, the
-process pool and the apps all report spans (phase-tagged timed scopes)
+ad-hoc timing it consolidates: kernels, the plan layer, the server and
+the apps all report spans (phase-tagged timed scopes)
 and counters through a :class:`Tracer`, and every consumer — the bench
 harness, ``repro.profiling``, CI — reads the same exporters.
 

@@ -4,7 +4,7 @@ The paper's entire argument rests on *phase-level* data: Fig. 15 profiles
 the symbolic/numeric/sort phases of every kernel, and §4.1/Fig. 2 price
 scheduling and allocation overheads separately from compute.  This module
 is the one place such measurements are produced: every executable kernel,
-plan inspection/execution, pool worker and app opens :class:`Span` scopes
+plan inspection/execution, served request and app opens :class:`Span` scopes
 at its phase seams through a :class:`Tracer`, and the exporters in
 :mod:`repro.observability.export` turn the span tree into a JSON trace, a
 text tree, or a Fig.-15-style per-phase breakdown.
@@ -23,10 +23,10 @@ Design constraints, in order:
    by phase always sums to the root span's wall time — no phase is
    double-counted and nothing is lost, which is what makes the breakdown
    comparable to an untraced wall-clock measurement.
-3. **Mergeable across processes.**  Spans serialize to plain dicts
-   (:meth:`Span.to_dict` / :meth:`Span.from_dict`) so pool workers can
-   trace locally and ship their subtrees back over IPC; the parent grafts
-   them under its own span at the stitch.
+3. **Mergeable across contexts.**  Spans serialize to plain dicts
+   (:meth:`Span.to_dict` / :meth:`Span.from_dict`) so a served request
+   can trace into its own tracer on its compute thread and ship the
+   subtree back; the server grafts it into its own tracer.
 
 Timing uses ``time.perf_counter`` exclusively — the monotonic form the
 ``determinism`` contract-linter rule sanctions for reported durations
@@ -140,7 +140,7 @@ class Tracer:
     """Collects a forest of :class:`Span` trees for one process.
 
     Not thread-safe by design: a tracer belongs to one simulated-thread
-    context (each pool worker builds its own and ships spans back).
+    context (each served request builds its own and ships spans back).
     """
 
     __slots__ = ("spans", "_stack")
@@ -184,7 +184,8 @@ class Tracer:
 
     def graft(self, payload: dict, name: "str | None" = None) -> Span:
         """Merge a serialized span tree (``Span.to_dict``) as a child of
-        the current span — how pool workers' traces land in the parent."""
+        the current span — how served requests' traces land in the
+        server's tracer."""
         span = Span.from_dict(payload)
         if name is not None:
             span.name = name

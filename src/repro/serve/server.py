@@ -29,9 +29,8 @@ plans numeric-only, across tenants).
 
 Tracing: when the server has a tracer, each request runs under its own
 :class:`~repro.observability.Tracer` in the compute thread and its span
-forest is grafted into the server's tracer from the event loop — the
-same cross-process graft idiom the pool uses, so one trace interleaves
-every request's phase decomposition.
+forest is grafted into the server's tracer from the event loop, so one
+trace interleaves every request's phase decomposition.
 """
 
 from __future__ import annotations
@@ -73,22 +72,22 @@ def _error_body(code: str, message: str) -> dict:
 # job execution (compute-thread side)
 # --------------------------------------------------------------------------
 
-def _app_triangles(adjacency, plan_cache, stats, args):
+def _app_triangles(adjacency, plan_cache, stats, tracer, args):
     return {"value": int(count_triangles(
-        adjacency, plan_cache=plan_cache, stats=stats, **args
+        adjacency, plan_cache=plan_cache, stats=stats, tracer=tracer, **args
     ))}
 
 
-def _app_triangles_per_vertex(adjacency, plan_cache, stats, args):
+def _app_triangles_per_vertex(adjacency, plan_cache, stats, tracer, args):
     counts = triangle_counts_per_vertex(
-        adjacency, plan_cache=plan_cache, stats=stats, **args
+        adjacency, plan_cache=plan_cache, stats=stats, tracer=tracer, **args
     )
     return {"values": [int(v) for v in counts]}
 
 
 #: App jobs the server will run: registry name -> callable taking
-#: ``(adjacency, plan_cache, stats, args)`` and returning a JSON-able
-#: result.
+#: ``(adjacency, plan_cache, stats, tracer, args)`` and returning a
+#: JSON-able result.
 _APP_REGISTRY = {
     "count_triangles": _app_triangles,
     "triangle_counts_per_vertex": _app_triangles_per_vertex,
@@ -142,7 +141,8 @@ def _execute_job(server: "Server", payload: dict):
             raise invalid_choice("app", job["app"], sorted(_APP_REGISTRY))
         try:
             result = fn(
-                job["adjacency"], server._plan_cache, stats, job["args"]
+                job["adjacency"], server._plan_cache, stats, wtracer,
+                job["args"],
             )
         except TypeError as exc:
             raise ConfigError(
@@ -679,8 +679,9 @@ def serve_in_thread(
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
 
-    # A *thread* target never pickles, so the closure is safe here — the
-    # spawn-capture hazard applies to process targets only.
+    # The event-loop thread is no row part: its closure owns the loop it
+    # runs and hands back only the handle, and a thread target never
+    # pickles.
     # repro-lint: disable-next-line=race-spawn-capture
     thread = threading.Thread(
         target=run, name="repro-serve-loop", daemon=True

@@ -41,20 +41,6 @@ def test_accum_order_fixture():
     assert "reduce_segments" in messages
 
 
-def test_shm_lifecycle_fixture():
-    result = run([FIXTURES / "shm_bad.py"], rules=["shm-lifecycle"])
-    assert len(result.findings) == 3
-    messages = [f.message for f in result.findings]
-    assert any("does not escape" in m for m in messages)
-    assert any("exceptional path" in m for m in messages)
-    assert any("unlink() without" in m for m in messages)
-
-
-def test_shm_lifecycle_clean_fixture():
-    result = run([FIXTURES / "shm_ok.py"], rules=["shm-lifecycle"])
-    assert result.findings == []
-
-
 def test_determinism_fixture():
     result = run([FIXTURES / "determinism_bad.py"], rules=["determinism"])
     assert len(result.findings) == 5
@@ -189,7 +175,6 @@ def test_all_rules_registered():
         "race-operand-write",
         "race-spawn-capture",
         "race-unlocked-shared",
-        "shm-lifecycle",
         "span-discipline",
     }
 
@@ -200,10 +185,10 @@ def test_all_rules_registered():
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    assert cli_main([str(FIXTURES / "shm_ok.py")]) == 0
-    assert cli_main([str(FIXTURES / "shm_bad.py")]) == 1
+    assert cli_main([str(FIXTURES / "suppressed_ok.py")]) == 0
+    assert cli_main([str(FIXTURES / "accum_bad.py")]) == 1
     assert cli_main([str(tmp_path / "missing.py")]) == 2
-    assert cli_main(["--rules", "no-such-rule", str(FIXTURES / "shm_ok.py")]) == 2
+    assert cli_main(["--rules", "no-such-rule", str(FIXTURES / "suppressed_ok.py")]) == 2
     capsys.readouterr()
 
 
@@ -234,11 +219,11 @@ def test_cli_list_rules(capsys):
 
 def test_module_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", str(FIXTURES / "shm_bad.py")],
+        [sys.executable, "-m", "repro.analysis", str(FIXTURES / "accum_bad.py")],
         capture_output=True,
         text=True,
         cwd=str(REPO_ROOT),
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 1
-    assert "shm-lifecycle" in proc.stdout
+    assert "accum-order" in proc.stdout

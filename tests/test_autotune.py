@@ -292,16 +292,14 @@ class TestCalibratedSelector:
         observe(0.002)
         assert p.refiner.observations("hash") == 1
 
-    @pytest.mark.parametrize("nworkers", [1, 2])
-    def test_parallel_spgemm_auto_honours_profile(self, nworkers):
-        from repro import parallel_spgemm
-
+    @pytest.mark.parametrize("engine", ["faithful", "fast"])
+    def test_spgemm_auto_honours_profile(self, engine):
         a = er_matrix(6, 8, seed=12)
         assert resolve_auto(a, a, sort_output=False)[0] == "hash"
         p = make_profile({"heap": 0.001})
-        c = parallel_spgemm(
+        c = spgemm(
             a, a, algorithm="auto", sort_output=False, calibration=p,
-            nworkers=nworkers, share="pickle",
+            engine=engine,
         )
         ref = spgemm(a, a, algorithm="heap")
         assert c.sorted_rows  # heap's sorted rows, not hash's unsorted ones

@@ -237,23 +237,24 @@ class TestBitIdentity:
         _assert_bit_identical(c_traced, c_plain)
         assert tracer.spans, "traced run produced no spans"
 
-    def test_traced_parallel_matches(self):
-        from repro.parallel import parallel_spgemm
+    @pytest.mark.parametrize("algorithm", ["esc", "hash"])
+    def test_traced_threaded_matches(self, monkeypatch, algorithm):
+        import repro.core.threads as threads
 
+        monkeypatch.setattr(threads, "_part_count", lambda total_flop: 3)
         g = er_matrix(7, 6, seed=5)
         tracer = Tracer()
-        c_traced = parallel_spgemm(g, g, nworkers=3, tracer=tracer)
-        c_plain = parallel_spgemm(g, g, nworkers=3)
+        kwargs = dict(algorithm=algorithm, engine="fast")
+        c_traced = spgemm(g, g, tracer=tracer, **kwargs)
+        c_plain = spgemm(g, g, **kwargs)
         _assert_bit_identical(c_traced, c_plain)
         (root,) = tracer.spans
         child_names = [c.name for c in root.children]
-        for expected in ("partition", "pack", "workers", "stitch"):
+        for expected in ("expand+reduce", "bucket", "assemble"):
             assert expected in child_names
-        workers = [c for c in root.children if c.name.startswith("worker[")]
-        assert workers, "worker traces were not grafted"
-        # each worker ships several roots (unpack, spgemm); at least one
-        # must carry the kernel's own phase subtree
-        assert any(w.children for w in workers)
+        # the parts' own seconds land on the root as counters
+        assert root.counters["parts"] == 3
+        assert root.counters["part_seconds_max"] <= root.counters["part_seconds"]
 
 
 class TestKernelStatsIntegration:

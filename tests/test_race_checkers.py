@@ -1,12 +1,13 @@
 """The ``race-*`` checker family against its seeded fixture tree.
 
 The fixture (``tests/lint_fixtures/race_bad/badpool/``) is a deliberately
-racy miniature of the parallel substrate: two worker entry points, a
-fork-inherited mailbox, a lambda and a nested def handed to ``pool.map``.
+racy miniature of a parallel substrate: two worker entry points, a
+module-global mailbox, a lambda and a nested def handed to ``pool.map``.
 Every rule has exact seeded counts and line sets, the fingerprints are
 line-shift-stable like the other checker fixtures, and — the operational
-acceptance bar — the real ``src/repro`` tree lints clean under the family
-with suppressions only at the documented sanctioned sites in ``pool.py``.
+acceptance bar — the real ``src/repro`` tree, whose one dispatch point is
+the thread tier's executor ``submit``, lints clean under the family with
+one documented suppression.
 """
 
 import shutil
@@ -139,19 +140,12 @@ def test_race_rules_clean_on_real_tree():
         [str(REPO_ROOT / "src" / "repro")], root=str(REPO_ROOT), rules=RACE_RULES
     )
     assert result.findings == [], "\n".join(f.render() for f in result.findings)
-    # The sanctioned sites are suppressed, not absent.  In parallel/pool.py:
-    # the resource-tracker monkeypatch pair, the _SHM_HANDLES cache fill,
-    # and the _FORK_OPERANDS publish/cleanup pair.  In serve/server.py: the
-    # serve_in_thread closure-capturing *thread* target (spawn-capture is a
-    # process-pickling hazard; thread targets never pickle).
+    # The one sanctioned site is suppressed, not absent: serve_in_thread's
+    # closure-capturing event-loop thread target, which is no row part.
     suppressed = [f for f in result.suppressed if f.rule.startswith("race-")]
-    assert len(suppressed) == 6
-    by_path = {f.path for f in suppressed}
-    assert by_path == {
-        "src/repro/parallel/pool.py", "src/repro/serve/server.py",
-    }
-    serve_sup = [f for f in suppressed if f.path.endswith("serve/server.py")]
-    assert [f.rule for f in serve_sup] == ["race-spawn-capture"]
+    assert [(f.path, f.rule) for f in suppressed] == [
+        ("src/repro/serve/server.py", "race-spawn-capture"),
+    ]
 
 
 def test_race_finding_suppressible(tmp_path):

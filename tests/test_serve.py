@@ -28,7 +28,6 @@ from repro import (
 )
 from repro.core.chain import multiply_chain
 from repro.core.masked import masked_spgemm
-from repro.parallel import parallel_spgemm
 from repro.rmat import er_matrix, g500_matrix
 from repro.serve import (
     Client,
@@ -154,12 +153,10 @@ class TestUnifiedOptionsApi:
             by_opts.data.view(np.uint64), by_kwargs.data.view(np.uint64)
         )
 
-    def test_parallel_spgemm_accepts_frozen_options(self):
+    def test_spgemm_accepts_frozen_options(self):
         g = er_matrix(5, 6, seed=4)
-        by_opts = parallel_spgemm(
-            g, g, SpgemmOptions(algorithm="esc"), nworkers=1
-        )
-        by_kwargs = parallel_spgemm(g, g, nworkers=1)
+        by_opts = spgemm(g, g, SpgemmOptions(algorithm="esc"))
+        by_kwargs = spgemm(g, g, algorithm="esc")
         np.testing.assert_array_equal(by_opts.indptr, by_kwargs.indptr)
         np.testing.assert_array_equal(
             by_opts.data.view(np.uint64), by_kwargs.data.view(np.uint64)
@@ -177,21 +174,14 @@ class TestUnifiedOptionsApi:
         [
             lambda g: multiply_chain([g, g], definitely_not_an_option=1),
             lambda g: masked_spgemm(g, g, g, definitely_not_an_option=1),
-            lambda g: parallel_spgemm(g, g, definitely_not_an_option=1),
+            lambda g: spgemm(g, g, definitely_not_an_option=1),
         ],
-        ids=["chain", "masked", "parallel"],
+        ids=["chain", "masked", "spgemm"],
     )
     def test_unknown_kwargs_rejected_everywhere(self, call):
         g = er_matrix(4, 4, seed=6)
         with pytest.raises(ConfigError, match="valid options"):
             call(g)
-
-    def test_parallel_rejects_process_local_fields(self):
-        from repro.core.plan import PlanCache
-
-        g = er_matrix(4, 4, seed=6)
-        with pytest.raises(ConfigError, match="process-local"):
-            parallel_spgemm(g, g, plan_cache=PlanCache(), nworkers=2)
 
     def test_serve_options_validation(self):
         with pytest.raises(ConfigError, match="concurrency"):
@@ -284,6 +274,21 @@ class TestServedBitIdentity:
         assert reply["result"]["value"] == value
         assert direct.flops > 0
         assert reply["stats"]["flops"] == direct.flops
+
+    @pytest.mark.parametrize(
+        "app", ["count_triangles", "triangle_counts_per_vertex"]
+    )
+    def test_app_jobs_are_traced(self, app):
+        from repro.observability import Tracer
+
+        g = er_matrix(6, 6, seed=27)
+        tracer = Tracer()
+        with serve_in_thread(tracer=tracer) as handle:
+            with Client(handle.host, handle.port) as cli:
+                cli.app(app, g)
+        names = [s.name for root in tracer.spans for s in root.walk()]
+        # the fused masked product's plan spans, grafted from the request
+        assert "plan.inspect" in names and "plan.execute" in names
 
     def test_ping_and_bad_requests(self, server):
         with Client(server.host, server.port) as cli:

@@ -28,6 +28,7 @@ from repro.core.symbolic import structure_product
 from repro.observability import Tracer
 from repro.rmat.generator import G500_PARAMS, g500_matrix, rmat
 
+from .test_auto_selection import lexsort_esc
 from .test_engine import assert_identical
 from .test_first_touch import hub_matrix, with_specials
 
@@ -103,22 +104,38 @@ PAIR_IDS = [name for name, _, _ in PAIRS]
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestPartCountsIdentical:
-    @pytest.mark.parametrize("semiring", ["plus_times", "min_plus"])
+    @pytest.mark.parametrize("semiring", ["plus_times", "min_plus", "or_and"])
     @pytest.mark.parametrize(
         "algorithm,sort_output",
         [("hash", True), ("hash", False), ("hashvec", False),
-         ("spa", False)],
-        ids=["sorted", "first_touch", "hashvec", "spa-first_touch"],
+         ("spa", False), ("esc", True)],
+        ids=["sorted", "first_touch", "hashvec", "spa-first_touch", "esc"],
     )
     @pytest.mark.parametrize("name,a,b", PAIRS, ids=PAIR_IDS)
     def test_plain(self, parts, name, a, b, algorithm, sort_output, semiring):
-        # A small block cap puts several blocks in each part.
-        ref, *rest = at_each_count(parts, lambda: batch_hash_spgemm(
-            a, b, algorithm=algorithm, sort_output=sort_output,
-            semiring=semiring, nthreads=3, max_block_flop=50,
-        ))
-        for c in rest:
+        def run():
+            stats = KernelStats()
+            # A small block cap puts several blocks in each part.
+            c = batch_hash_spgemm(
+                a, b, algorithm=algorithm, sort_output=sort_output,
+                semiring=semiring, nthreads=3, max_block_flop=50,
+                stats=stats,
+            )
+            return c, stats
+
+        (ref, ref_stats), *rest = at_each_count(parts, run)
+        for c, stats in rest:
             assert_identical(c, ref)
+            assert stats == ref_stats
+        if algorithm == "esc":
+            # ESC's sort touches every product, and its pairwise fold is
+            # the reference ESC's, bit for bit.
+            assert ref_stats.sorted_elements == ref_stats.flops
+            assert ref.sorted_rows
+            if ref_stats.flops:
+                assert_identical(ref, lexsort_esc(a, b, semiring, 50))
+            else:
+                assert ref.nnz == 0
 
     @pytest.mark.parametrize("semiring", ["plus_times", "min_plus"])
     @pytest.mark.parametrize("complement", [False, True])
@@ -357,3 +374,67 @@ class TestServedConcurrency:
             sys.setswitchinterval(interval)
         for c in got:
             assert_identical(c, want)
+
+
+class TestPartFaults:
+    """A part that raises on an executor thread: the caller sees the
+    exception, no part outlives the call, and the arenas the failed call
+    used give a fresh arena's bytes on the next product."""
+
+    @pytest.mark.parametrize(
+        "algorithm,sort_output", [("esc", True), ("hash", False)],
+        ids=["esc", "first_touch"],
+    )
+    def test_worker_part_raises(self, monkeypatch, parts, algorithm,
+                                sort_output):
+        monkeypatch.setattr(hb, "TOUCH_TABLE_MIN_PRODUCTS", 0)
+        caller = threading.get_ident()
+        started = threading.Event()
+        lock = threading.Lock()
+        running = [0]
+        real_part = hb._batch_part
+
+        class WorkerBoom(TestTableRefill._Boom):
+            """Cuts a part short only off the calling thread, after its
+            walk or sort has filled that thread's arena."""
+
+            @staticmethod
+            def take(*args, **kwargs):
+                if "out" in kwargs and threading.get_ident() != caller:
+                    raise RuntimeError("part failed")
+                return np.take(*args, **kwargs)
+
+        def part(lo, hi, arena, *args):
+            with lock:
+                running[0] += 1
+            try:
+                if threading.get_ident() == caller:
+                    # Hold the inline part until a worker has taken one,
+                    # so the failing part really runs off this thread.
+                    assert started.wait(timeout=60)
+                else:
+                    started.set()
+                return real_part(lo, hi, arena, *args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        def run(a, arena=None):
+            return batch_hash_spgemm(
+                a, a, algorithm=algorithm, sort_output=sort_output,
+                arena=arena,
+            )
+
+        first, second = hub_matrix(60, seed=5), random_csr(60, 60, 0.3, seed=8)
+        parts(4)
+        monkeypatch.setattr(hb, "np", WorkerBoom())
+        monkeypatch.setattr(hb, "_batch_part", part)
+        with pytest.raises(RuntimeError, match="part failed"):
+            run(first)
+        assert running[0] == 0  # every started part finished in the call
+        monkeypatch.setattr(hb, "np", np)
+        monkeypatch.setattr(hb, "_batch_part", real_part)
+
+        reused = run(second)  # the caller's and the workers' arenas
+        parts(1)
+        assert_identical(reused, run(second, ScratchArena()))
