@@ -26,6 +26,9 @@ from repro.machine import HASWELL, KNL
 from repro.perfmodel import ProblemQuantities, SimConfig, simulate_spgemm
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Records of runs below a bench's default scale (CI smoke runs); git
+#: ignores this directory, so they never replace a committed record.
+SMOKE_DIR = Path(__file__).parent / "out"
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") == "1"
 SUITE_MAX_N = int(
@@ -157,13 +160,15 @@ def lint_status() -> "tuple[tuple[str, object], ...]":
     )
 
 
-def record_json(name: str, payload: dict) -> Path:
+def record_json(name: str, payload: dict, *, reduced: bool = False) -> Path:
     """Persist a machine-readable benchmark record as ``<name>.json``.
 
     The record is annotated with timestamp, interpreter/platform info and
     the contract-linter verdict (see :func:`lint_status`) so the perf
     trajectory is comparable across PRs.  Records land in
-    ``benchmarks/results/``, their one home.
+    ``benchmarks/results/``, their one home; a ``reduced`` run (below the
+    bench's default scale) writes to the gitignored ``benchmarks/out/``
+    instead, so a smoke run leaves the committed record alone.
     """
     record = dict(payload)
     record.setdefault("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S%z"))
@@ -171,8 +176,9 @@ def record_json(name: str, payload: dict) -> Path:
     record.setdefault("platform", platform.platform())
     record.setdefault("lint", dict(lint_status()))
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
+    directory = SMOKE_DIR if reduced else RESULTS_DIR
+    directory.mkdir(exist_ok=True)
+    path = directory / f"{name}.json"
     path.write_text(text)
     return path
 

@@ -30,7 +30,10 @@ from repro.core.engine import resolve_engine
 from repro.datasets import load_suite
 
 #: Calibration grid scale (2**scale rows per generated problem).
-AUTOTUNE_SCALE = int(os.environ.get("REPRO_BENCH_AUTOTUNE_SCALE", "10"))
+DEFAULT_AUTOTUNE_SCALE = 10
+AUTOTUNE_SCALE = int(
+    os.environ.get("REPRO_BENCH_AUTOTUNE_SCALE", str(DEFAULT_AUTOTUNE_SCALE))
+)
 
 #: Proxy-suite dimension cap for the comparison jobs.
 AUTOTUNE_MAX_N = int(
@@ -40,6 +43,9 @@ AUTOTUNE_MAX_N = int(
 #: Upper bound on refinement warm-up passes (stops early once the
 #: selector's verdicts stop changing between passes).
 REFINE_PASSES = int(os.environ.get("REPRO_BENCH_AUTOTUNE_PASSES", "3"))
+
+#: A grid or suite below its default makes the run a smoke run.
+REDUCED = AUTOTUNE_SCALE < DEFAULT_AUTOTUNE_SCALE or AUTOTUNE_MAX_N < SUITE_MAX_N
 
 
 def _timed(m, algorithm, sort_output):
@@ -177,6 +183,7 @@ def test_autotune_record():
                 "agreements": agreements,
             },
         },
+        reduced=REDUCED,
     )
     print(
         f"\nautotune: static {static_total:.3f}s vs calibrated "

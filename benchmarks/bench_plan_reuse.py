@@ -32,7 +32,8 @@ EDGE_FACTOR = 8
 #: Matrix scale for the plan-reuse record (the ISSUE's acceptance bar is a
 #: >= 2x amortized hash-family speedup at k >= 8 on scale >= 14; CI smoke
 #: runs use a smaller scale via this knob).
-PLAN_SCALE = int(os.environ.get("REPRO_BENCH_PLAN_SCALE", "14"))
+DEFAULT_PLAN_SCALE = 14
+PLAN_SCALE = int(os.environ.get("REPRO_BENCH_PLAN_SCALE", str(DEFAULT_PLAN_SCALE)))
 
 REPEAT_COUNTS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -109,6 +110,7 @@ def test_plan_reuse_record():
             "entries": entries,
             "cache_probe": {"misses": cache.misses, "hits": cache.hits},
         },
+        reduced=PLAN_SCALE < DEFAULT_PLAN_SCALE,
     )
     if PLAN_SCALE >= 14:
         for algorithm in ("hash", "hashvec"):

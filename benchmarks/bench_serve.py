@@ -36,7 +36,10 @@ from repro.rmat import er_matrix, g500_matrix
 from repro.serve import build_job, csr_from_wire, decode_message, encode_message
 
 #: Matrix scale for the serving record (CI smoke runs shrink it).
-SERVE_SCALE = int(os.environ.get("REPRO_BENCH_SERVE_SCALE", "10"))
+DEFAULT_SERVE_SCALE = 10
+SERVE_SCALE = int(
+    os.environ.get("REPRO_BENCH_SERVE_SCALE", str(DEFAULT_SERVE_SCALE))
+)
 
 EDGE_FACTOR = 8
 TENANTS = ("alice", "bob", "carol")
@@ -169,4 +172,5 @@ def test_serve_record():
             "bit_identical": True,
             "clean_drain": clean,
         },
+        reduced=SERVE_SCALE < DEFAULT_SERVE_SCALE,
     )

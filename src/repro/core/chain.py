@@ -33,16 +33,19 @@ the batched engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ConfigError, ShapeError
 from ..matrix.csr import CSR
 from ..matrix.ops import pattern, pattern_filter, vstack_rows
 from ..matrix.stats import total_flop
+from ..observability import tracer_from_env
 from ..semiring import PLUS_TIMES, Semiring
 from .engine import resolve_engine
 from .masked import masked_spgemm
-from .options import ChainOptions
-from .spgemm import spgemm
+from .options import ChainOptions, SpgemmOptions
+from .plan import _calibrating
+from .spgemm import _debug_validate_enabled, _spgemm_resolved, spgemm
 from .symbolic import iter_row_blocks, structure_product
 
 __all__ = [
@@ -243,28 +246,20 @@ def multiply_chain(
     the surrounding rows, so blocks stack to the unfused product verbatim)
     with sorted output (unsorted orderings depend on block boundaries).
 
-    ``plan`` carries a pre-built :class:`ChainPlan`; ``plan_cache`` (a
-    :class:`repro.core.plan.PlanCache`) memoizes the :class:`ChainPlan`
-    itself when no ``plan`` is given (keyed by the operands' and the mask's
-    structure fingerprints and ``complement``) and is forwarded to every
-    product — including masked and streamed ones — so re-evaluating a chain
-    whose operands keep their sparsity patterns (AMG's Galerkin triple
-    product per cycle, Markov iterations) pays structure discovery, the
-    association DP included, only on the first evaluation.  ``tracer`` is
-    forwarded to every product, so each association step shows up as its
-    own root span.
+    ``plan`` carries a pre-built :class:`ChainPlan`.  Without one,
+    ``plan_cache`` (a :class:`repro.core.plan.PlanCache`) keeps a *chain
+    entry* keyed by the operands' and the mask's structure fingerprints and
+    the stage-shaping options: the :class:`ChainPlan` plus the stage plans
+    the first evaluation ran.  Re-evaluating a chain whose operands keep
+    their sparsity patterns (AMG's Galerkin triple product per cycle,
+    Markov iterations) then fingerprints each operand once and replays the
+    saved stages numeric-only (see ``docs/plans.md``).  With a ``plan``,
+    the cache serves each product on its own.  ``stats`` and ``tracer`` go
+    to every product, so each association step reports its counters and
+    shows up as its own root span.
     """
     options = ChainOptions.from_kwargs(opts, **kwargs)
-    algorithm = options.algorithm
-    semiring = options.semiring
-    sort_output = options.sort_output
-    nthreads = options.nthreads
-    engine = resolve_engine(options.engine)
-    complement = options.complement
-    fuse = options.fuse
     plan = options.plan
-    plan_cache = options.plan_cache
-    tracer = options.tracer
     if plan is not None and not isinstance(plan, ChainPlan):
         raise ConfigError(
             f"multiply_chain's plan must be a ChainPlan (from plan_chain), "
@@ -281,58 +276,175 @@ def multiply_chain(
                 f"mask shape {mask.shape} != chain output shape "
                 f"{(matrices[0].nrows, matrices[-1].ncols)}"
             )
+    run = _Stages(options)
+    if run.validate:
+        for m in matrices if mask is None else (*matrices, mask):
+            m.validate()
+    if plan is None and options.plan_cache is not None:
+        return _cached_chain(matrices, mask, run)
     if plan is None:
-        planner = plan_chain if plan_cache is None else plan_cache.chain_plan
-        plan = planner(matrices, mask=mask, complement=complement)
-    if (
-        fuse != "off"
-        and sort_output
-        and n == 3
-        and plan.order == ((0, 1), 2)
-    ):
-        inner_flop = next((s.flop for s in plan.stages if s.node == (0, 1)), None)
-        return _stream_sandwich(
-            matrices, inner_flop=inner_flop,
-            algorithm=algorithm, engine=engine, mask=mask,
-            complement=complement,
-            semiring=semiring, nthreads=nthreads,
-            plan_cache=plan_cache, tracer=tracer,
+        plan = plan_chain(matrices, mask=mask, complement=options.complement)
+    spans = _stream_spans(matrices, plan, options)
+    return _evaluate(matrices, mask, plan.order, spans, run)
+
+
+@dataclass(frozen=True)
+class _ChainEntry:
+    """What a :class:`~repro.core.plan.PlanCache` keeps for one chain."""
+
+    plan: ChainPlan
+    #: row blocks of the streamed sandwich; None when the chain does not
+    #: stream
+    spans: "tuple[tuple[int, int], ...] | None"
+    #: per product, in evaluation order: the plan that ran it, or the
+    #: resolved algorithm name of a plan-less stage
+    stages: tuple
+
+
+def _cached_chain(matrices: "list[CSR]", mask: CSR | None, run: "_Stages") -> CSR:
+    """:func:`multiply_chain` through the cache's chain entry.
+
+    A miss plans the chain and evaluates it through the cache's per-product
+    lookups, saving the entry that served each product.  A hit replays the
+    saved stages: its key fingerprinted every operand, and each
+    intermediate's structure is the previous saved plan's output, so no
+    stage needs options, a key or a fingerprint.  While a calibration
+    profile is active an ``"auto"`` chain takes the per-product lookups on
+    hits too, so each stage keeps its periodic re-selection
+    (:meth:`~repro.core.plan.PlanCache._maybe_revisit`).
+    """
+    options = run.options
+    cache = options.plan_cache
+    key = cache._chain_key(matrices, mask, options, run.engine)
+    entry = cache._lookup(key, options.stats)
+    if entry is None:
+        plan = plan_chain(matrices, mask=mask, complement=options.complement)
+        spans = _stream_spans(matrices, plan, options)
+        run.record = []
+        c = _evaluate(matrices, mask, plan.order, spans, run)
+        cache._store(key, _ChainEntry(plan, spans, tuple(run.record)))
+        return c
+    if not (options.algorithm == "auto" and _calibrating(options)):
+        run.saved = iter(entry.stages)
+    return _evaluate(matrices, mask, entry.plan.order, entry.spans, run)
+
+
+class _Stages:
+    """Runs one chain evaluation's products, in evaluation order.
+
+    Without a cache each product is a fresh :func:`repro.spgemm` /
+    :func:`repro.core.masked.masked_spgemm` call.  With one, each goes
+    through the cache's own lookup, and ``record`` (when a list) collects
+    the entry that served it.  With ``saved`` (a chain hit) each product
+    replays the next saved entry unchecked.
+    """
+
+    def __init__(self, options: ChainOptions) -> None:
+        self.options = options
+        self.engine = resolve_engine(options.engine)
+        self.tracer = (
+            options.tracer if options.tracer is not None else tracer_from_env()
+        )
+        self.validate = _debug_validate_enabled()
+        self.record: "list | None" = None
+        self.saved = None
+
+    @cached_property
+    def spgemm_options(self) -> SpgemmOptions:
+        """Options of an unmasked product."""
+        o = self.options
+        return SpgemmOptions(
+            algorithm=o.algorithm, semiring=o.semiring,
+            sort_output=o.sort_output, nthreads=o.nthreads,
+            engine=self.engine, stats=o.stats, tracer=self.tracer,
         )
 
-    def evaluate(node, *, apply_mask: bool = False) -> CSR:
+    def __call__(self, left: CSR, right: CSR, mask: CSR | None = None) -> CSR:
+        """``left (x) right``, gated by ``mask`` when given."""
+        o = self.options
+        if self.saved is not None:
+            entry = next(self.saved)
+            if isinstance(entry, str):
+                c = _spgemm_resolved(
+                    left, right, self.spgemm_options.replace(algorithm=entry)
+                )
+            else:
+                c = entry._run(left, right, o.semiring, o.stats, self.tracer)
+        elif o.plan_cache is None:
+            if mask is None:
+                c = spgemm(
+                    left, right,
+                    algorithm=o.algorithm, semiring=o.semiring,
+                    sort_output=o.sort_output, nthreads=o.nthreads,
+                    engine=self.engine, stats=o.stats, tracer=self.tracer,
+                )
+            else:
+                c = masked_spgemm(
+                    left, right, mask,
+                    semiring=o.semiring, complement=o.complement,
+                    sort_output=o.sort_output, engine=self.engine,
+                    nthreads=o.nthreads, stats=o.stats, tracer=self.tracer,
+                )
+        else:
+            if mask is None:
+                c, entry = o.plan_cache._execute(
+                    left, right, self.spgemm_options
+                )
+            else:
+                c, entry = o.plan_cache._execute_masked(
+                    left, right, mask,
+                    semiring=o.semiring, complement=o.complement,
+                    sort_output=o.sort_output, engine=self.engine,
+                    stats=o.stats, tracer=self.tracer,
+                )
+            if self.record is not None:
+                self.record.append(entry)
+        if self.validate:
+            c.validate()
+        return c
+
+
+def _stream_spans(
+    matrices: "list[CSR]", plan: ChainPlan, options: ChainOptions
+) -> "tuple[tuple[int, int], ...] | None":
+    """The row blocks a streamed sandwich evaluates, or None when the chain
+    does not stream.
+
+    Streaming needs a left-deep triple product with sorted output and
+    ``fuse`` not ``"off"``.  The planned ``M0 · M1`` stage flop spares the
+    block walk its per-row flop count when the intermediate fits one block.
+    """
+    if (
+        options.fuse == "off"
+        or not options.sort_output
+        or len(matrices) != 3
+        or plan.order != ((0, 1), 2)
+    ):
+        return None
+    inner_flop = next((s.flop for s in plan.stages if s.node == (0, 1)), None)
+    return tuple(iter_row_blocks(matrices[0], matrices[1], total_flop=inner_flop))
+
+
+def _evaluate(
+    matrices: "list[CSR]", mask: CSR | None, order, spans, run: _Stages
+) -> CSR:
+    """Evaluate ``order`` bottom-up with ``run``; the mask gates the root
+    product.  With ``spans`` the left-deep triple product streams."""
+    if spans is not None:
+        return _stream_sandwich(matrices, mask, spans, run)
+
+    def evaluate(node, apply_mask: bool = False) -> CSR:
         if isinstance(node, int):
             return matrices[node]
         left = evaluate(node[0])
         right = evaluate(node[1])
-        if apply_mask:
-            return masked_spgemm(
-                left, right, mask,
-                semiring=semiring, complement=complement,
-                sort_output=sort_output, engine=engine, nthreads=nthreads,
-                plan_cache=plan_cache, tracer=tracer,
-            )
-        return spgemm(
-            left, right,
-            algorithm=algorithm, semiring=semiring,
-            sort_output=sort_output, nthreads=nthreads, engine=engine,
-            plan_cache=plan_cache, tracer=tracer,
-        )
+        return run(left, right, mask if apply_mask else None)
 
-    return evaluate(plan.order, apply_mask=mask is not None)
+    return evaluate(order, apply_mask=mask is not None)
 
 
 def _stream_sandwich(
-    matrices: "list[CSR]",
-    *,
-    inner_flop: "int | None",
-    algorithm: str,
-    engine: str,
-    mask: CSR | None,
-    complement: bool,
-    semiring: "str | Semiring",
-    nthreads: int,
-    plan_cache,
-    tracer,
+    matrices: "list[CSR]", mask: CSR | None, spans, run: _Stages
 ) -> CSR:
     """Evaluate a left-deep triple product in flop-bounded row blocks.
 
@@ -340,38 +452,13 @@ def _stream_sandwich(
     on row ``i`` of the left operand), so evaluating ``(M0 · M1) · M2`` on
     row-block views of ``M0`` and stacking yields the unfused sorted result
     bit-for-bit — while only one block of the intermediate is ever alive.
-    ``inner_flop`` (the planned ``M0 · M1`` stage; None when the plan has
-    no such stage) spares the block walk its per-row flop count when the
-    intermediate fits one block.
     """
     m0, m1, m2 = matrices
     blocks: "list[CSR]" = []
-    for r0, r1 in iter_row_blocks(m0, m1, total_flop=inner_flop):
-        left = m0.row_block(r0, r1)
-        t = spgemm(
-            left, m1,
-            algorithm=algorithm, semiring=semiring, sort_output=True,
-            nthreads=nthreads, engine=engine,
-            plan_cache=plan_cache, tracer=tracer,
-        )
-        if mask is not None:
-            blocks.append(
-                masked_spgemm(
-                    t, m2, mask.row_block(r0, r1),
-                    semiring=semiring, complement=complement,
-                    sort_output=True, engine=engine, nthreads=nthreads,
-                    plan_cache=plan_cache, tracer=tracer,
-                )
-            )
-        else:
-            blocks.append(
-                spgemm(
-                    t, m2,
-                    algorithm=algorithm, semiring=semiring, sort_output=True,
-                    nthreads=nthreads, engine=engine,
-                    plan_cache=plan_cache, tracer=tracer,
-                )
-            )
+    for r0, r1 in spans:
+        t = run(m0.row_block(r0, r1), m1)
+        block_mask = None if mask is None else mask.row_block(r0, r1)
+        blocks.append(run(t, m2, block_mask))
     return blocks[0] if len(blocks) == 1 else vstack_rows(blocks)
 
 

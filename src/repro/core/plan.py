@@ -15,8 +15,8 @@ that structure, then throw it away on every call.  This module keeps it:
   wired behind ``spgemm(..., plan_cache=...)`` so iterative apps (AMG's
   Galerkin products, Markov clustering, multi-source BFS) get numeric-only
   inner loops without restructuring their call sites.  A matched key *is*
-  the structure check (one fingerprint per operand per call); chain plans
-  are memoized there too.
+  the structure check (one fingerprint per operand per call); a repeated
+  ``multiply_chain`` replays the stage plans its first evaluation saved.
 
 Two plan modes cover the plan-capable algorithms (the table rows of
 :data:`repro.core.spgemm.ALGORITHMS` marked ``planned``):
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, PlanError, ShapeError
-from ..matrix.csr import CSR, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
+from ..matrix.csr import CSR, HASH_DTYPE, INDEX_DTYPE, INDPTR_DTYPE, VALUE_DTYPE
 from ..matrix.stats import flop_per_row
 from ..observability import NULL_TRACER, tracer_from_env
 from ..semiring import Semiring, get_semiring
@@ -96,17 +96,80 @@ __all__ = [
 AUTO_REVISIT_PERIOD = 32
 
 
-def structure_fingerprint(m: CSR) -> "tuple[int, int, int, int]":
+#: Words per first-level block of the structure hash (see :func:`_hash64`).
+HASH_BLOCK = 4096
+_MASK64 = (1 << 64) - 1
+
+
+def _odd_weights(start: int, n: int) -> np.ndarray:
+    """``n`` odd 64-bit hash weights: the splitmix64 mix of the counters
+    ``start .. start + n - 1``, low bit set.
+
+    Vectorized and seed-free, so every process derives the same weights
+    without importing ``numpy.random``.
+    """
+    z = np.arange(start, start + n, dtype=HASH_DTYPE)
+    z *= HASH_DTYPE(0x9E3779B97F4A7C15)
+    z ^= z >> HASH_DTYPE(30)
+    z *= HASH_DTYPE(0xBF58476D1CE4E5B9)
+    z ^= z >> HASH_DTYPE(27)
+    z *= HASH_DTYPE(0x94D049BB133111EB)
+    z ^= z >> HASH_DTYPE(31)
+    z |= HASH_DTYPE(1)
+    return z
+
+
+#: First-level weights: one per word of a block.
+_WORD_WEIGHTS = _odd_weights(1, HASH_BLOCK)
+#: Second-level weights, one per block, for arrays of fewer than
+#: ``HASH_BLOCK**2`` words; longer arrays derive theirs per call, one per
+#: ``HASH_BLOCK`` words hashed.
+_BLOCK_WEIGHTS = _odd_weights(1 << 32, HASH_BLOCK)
+
+
+def _hash64(words: np.ndarray) -> int:
+    """Two-level multilinear hash of a ``HASH_DTYPE`` array, mod 2**64.
+
+    Each block of :data:`HASH_BLOCK` words is dotted with the word
+    weights, then the block sums with the block weights (the last block is
+    zero-padded), so word ``j`` carries the odd weight
+    ``w1[j % HASH_BLOCK] * w2[j // HASH_BLOCK]``.  The dot products are
+    numpy ``uint64`` ones, which wrap; the last block's term joins in
+    Python integers.
+    """
+    k, tail = divmod(len(words), HASH_BLOCK)
+    block_weights = (
+        _BLOCK_WEIGHTS if k < len(_BLOCK_WEIGHTS)
+        else _odd_weights(1 << 32, k + 1)
+    )
+    h = int(words[k * HASH_BLOCK :] @ _WORD_WEIGHTS[:tail]) * int(block_weights[k])
+    if k:
+        sums = words[: k * HASH_BLOCK].reshape(k, HASH_BLOCK) @ _WORD_WEIGHTS
+        h += int(sums @ block_weights[:k])
+    return h & _MASK64
+
+
+def structure_fingerprint(m: CSR) -> "tuple[int, int, int, int, int]":
     """Cheap O(nnz) fingerprint of a matrix's sparsity *structure*.
 
-    ``(nrows, ncols, nnz, crc32(indptr || indices))`` — values are excluded
-    (that is the point: a plan replays against new values), and so is the
-    ``sorted_rows`` flag, because the ``indices`` bytes already capture the
-    ordering that matters to the plan-capable kernels.
+    ``(nrows, ncols, nnz, h(indptr), h(indices))`` with ``h`` the 64-bit
+    multilinear hash :func:`_hash64` of the arrays' words.  Values are
+    excluded (that is the point: a plan replays against new values), and so
+    is the ``sorted_rows`` flag, because the ``indices`` words already
+    capture the ordering that matters to the plan-capable kernels.
+
+    Every weight is odd, so changing any single word always changes its
+    hash.  For any other change, modelling the weights as uniform odd
+    values, two different arrays collide with probability at most
+    ``(64 - v) * 2**-(63 - v)``, where ``2**v`` divides every word of
+    their difference; below ``2**-38`` for index differences below
+    ``2**20`` (CRC-32: ``2**-32``).
     """
-    crc = zlib.crc32(np.ascontiguousarray(m.indptr))
-    crc = zlib.crc32(np.ascontiguousarray(m.indices), crc)
-    return (m.nrows, m.ncols, m.nnz, crc)
+    return (
+        m.nrows, m.ncols, m.nnz,
+        _hash64(m.indptr.view(HASH_DTYPE)),
+        _hash64(m.indices.view(HASH_DTYPE)),
+    )
 
 
 #: Replay folds a rank with one vectorized ``add`` while at least this many
@@ -569,7 +632,15 @@ def _inspect_blocks(
         if not sort_output:
             first_idx = order[starts]
             if vhash is None:
-                reorder = np.argsort(first_idx)
+                # First-occurrence order lists the segments by ascending
+                # first arrival: the fresh kernel's scatter, not a sort.
+                n = len(rows)
+                seen = arena.take("new_run", n, bool)
+                seen[:] = False
+                seen[first_idx] = True
+                seg_at = arena.take("key", n, INDPTR_DTYPE)
+                seg_at[first_idx] = np.arange(len(first_idx))
+                reorder = seg_at[seen]
             else:
                 chunk_mask, cap_row, lanes = vhash
                 reorder = _vhash_order(
@@ -718,12 +789,16 @@ class PlanCache:
     iteration, and fall back to an ordinary full multiplication.  Each
     call fingerprints every operand once: a matched key is the structure
     check, so a hit replays unchecked.  Cached plans carry no ``stats`` or
-    ``tracer``; each call reports into its own.  :meth:`chain_plan`
-    memoizes ``multiply_chain``'s association plans in the same LRU.
+    ``tracer``; each call reports into its own.  ``multiply_chain(...,
+    plan_cache=cache)`` keeps one *chain entry* per chain in the same LRU:
+    its association plan plus the stage plans its first evaluation ran
+    (see :func:`repro.core.chain.multiply_chain`).
 
     Hit/miss totals live on :attr:`hits`/:attr:`misses` and are also pushed
     into each call's :class:`~repro.core.instrument.KernelStats` (as
-    ``plan_hits``/``plan_misses``) when one is supplied.
+    ``plan_hits``/``plan_misses``) when one is supplied.  Each lookup
+    counts once: a chain hit is one hit however many stages it replays; a
+    chain miss is one miss plus each stage's own lookup.
 
     The cache is thread-safe: lookup, counters and store run under an
     internal lock, while inspection (the expensive part of a miss) runs
@@ -808,6 +883,13 @@ class PlanCache:
         if options.plan is not None or options.plan_cache is not None:
             # Strip routing fields so the fallback dispatch cannot recurse.
             options = options.replace(plan=None, plan_cache=None)
+        return self._execute(a, b, options)[0]
+
+    def _execute(
+        self, a: CSR, b: CSR, options: SpgemmOptions
+    ) -> "tuple[CSR, _Plan | str]":
+        """:meth:`execute` on options without routing fields; also returns
+        the entry that served the call (a plan, or a resolved-name marker)."""
         key = self._key(a, b, options)
         stats = options.stats
         entry = self._lookup(key, stats)
@@ -815,9 +897,9 @@ class PlanCache:
             entry = self._maybe_revisit(key, entry, a, b, options)
         if entry is not None:
             if isinstance(entry, str):  # plan-less algorithm marker
-                return _spgemm_resolved(a, b, options.replace(algorithm=entry))
+                return _spgemm_resolved(a, b, options.replace(algorithm=entry)), entry
             # The key matched, which already proves the operands' structure.
-            return entry._run(a, b, options.semiring, stats, options.tracer)
+            return entry._run(a, b, options.semiring, stats, options.tracer), entry
         algorithm = options.algorithm
         observe = None
         if algorithm == "auto":
@@ -826,20 +908,21 @@ class PlanCache:
                 self._auto_hits[key] = 0
         t0 = time.perf_counter() if observe is not None else 0.0
         if not ALGORITHMS[algorithm].planned:
-            self._store(key, algorithm)
+            entry = algorithm
+            self._store(key, entry)
             c = _spgemm_resolved(a, b, options.replace(algorithm=algorithm))
         else:
-            plan = _inspect(a, b, options.replace(algorithm=algorithm), key[:2])
+            entry = _inspect(a, b, options.replace(algorithm=algorithm), key[:2])
             # A shared plan must not report into (or keep alive) the
             # collectors of whichever call happened to inspect it.
-            plan.options = plan.options.replace(stats=None, tracer=None)
-            self._store(key, plan)
-            c = plan._run(a, b, options.semiring, stats, options.tracer)
+            entry.options = entry.options.replace(stats=None, tracer=None)
+            self._store(key, entry)
+            c = entry._run(a, b, options.semiring, stats, options.tracer)
         if observe is not None:
             # full inspect+execute seconds: the quantity the calibrated
             # curves predict, fed back into the online refiner
             observe(time.perf_counter() - t0)
-        return c
+        return c, entry
 
     def _maybe_revisit(
         self, key: tuple, entry, a: CSR, b: CSR, options: SpgemmOptions
@@ -855,12 +938,7 @@ class PlanCache:
         miss — re-inspecting under the new algorithm.  Static (profile-
         absent) resolutions are deterministic, so they are never revisited.
         """
-        from ..autotune import active_profile  # deferred: autotune imports core
-
-        profile = options.calibration
-        if profile is None:
-            profile = active_profile()
-        if profile is None:
+        if not _calibrating(options):
             return entry
         with self._lock:
             count = self._auto_hits.get(key, 0) + 1
@@ -900,6 +978,17 @@ class PlanCache:
         :func:`repro.core.masked.masked_spgemm`.
         """
         del nthreads  # replay is partition-independent; see docstring
+        return self._execute_masked(
+            a, b, mask, semiring=semiring, complement=complement,
+            sort_output=sort_output, engine=engine, stats=stats,
+            tracer=tracer,
+        )[0]
+
+    def _execute_masked(
+        self, a: CSR, b: CSR, mask: CSR, *, semiring, complement: bool,
+        sort_output: bool, engine: str, stats: KernelStats | None, tracer,
+    ) -> "tuple[CSR, MaskedSpgemmPlan]":
+        """:meth:`execute_masked`; also returns the plan that served it."""
         fps = tuple(structure_fingerprint(m) for m in (a, b, mask))
         key = ("masked", *fps, complement, sort_output)
         plan = self._lookup(key, stats)
@@ -910,31 +999,33 @@ class PlanCache:
                 tracer=tracer,
             )
             self._store(key, plan)
-        return plan._run(a, b, semiring, stats, tracer)
+        return plan._run(a, b, semiring, stats, tracer), plan
 
-    def chain_plan(
-        self,
-        matrices: "list[CSR]",
-        *,
-        mask: CSR | None = None,
-        complement: bool = False,
-    ):
-        """:func:`repro.core.chain.plan_chain`, memoized per structure.
-
-        Keyed by the operands' structure fingerprints in order, the mask's
-        and ``complement``; chain plans share the LRU and the hit/miss
-        counters with the product plans.
-        """
-        key = (
+    def _chain_key(
+        self, matrices: "list[CSR]", mask: CSR | None, options, engine: str
+    ) -> tuple:
+        """Key of a ``multiply_chain`` entry (see
+        :func:`repro.core.chain.multiply_chain`): every operand's structure
+        fingerprint in order, the mask's, and the chain options that shape
+        the saved stage plans.  The semiring is absent, as for product
+        plans: each replay substitutes the caller's."""
+        return (
             "chain",
             tuple(structure_fingerprint(m) for m in matrices),
             None if mask is None else structure_fingerprint(mask),
-            complement,
+            options.complement,
+            options.algorithm,
+            options.sort_output,
+            options.nthreads,
+            engine,
+            options.fuse != "off",
         )
-        plan = self._lookup(key, None)
-        if plan is None:
-            from .chain import plan_chain  # deferred: chain imports spgemm
 
-            plan = plan_chain(matrices, mask=mask, complement=complement)
-            self._store(key, plan)
-        return plan
+
+def _calibrating(options: SpgemmOptions) -> bool:
+    """Whether ``"auto"`` selection under ``options`` reads a calibration
+    profile (the options' own or the active one), so cached resolutions
+    are revisited every :data:`AUTO_REVISIT_PERIOD` hits."""
+    from ..autotune import active_profile  # deferred: autotune imports core
+
+    return options.calibration is not None or active_profile() is not None

@@ -34,6 +34,8 @@ INDPTR_DTYPE = np.int64
 INDEX_DTYPE = np.int64
 #: dtype used for values.
 VALUE_DTYPE = np.float64
+#: dtype of structure-hash words and weights: arithmetic wraps mod 2**64.
+HASH_DTYPE = np.uint64
 
 if np.dtype(VALUE_DTYPE) != np.dtype(ACCUM_DTYPE):  # pragma: no cover
     raise FormatError(

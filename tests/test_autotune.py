@@ -466,6 +466,56 @@ class TestPlanCacheRevisit:
             assert np.array_equal(c.indices, c0.indices)
             assert np.array_equal(c.data, c0.data)
 
+    def test_calibrated_auto_chain_stages_keep_revisiting(self, monkeypatch):
+        """With a profile active, a repeated ``"auto"`` chain goes through
+        each stage's own lookup, so the stages' revisits still overturn a
+        mispriced pick; without one a repeat is one chain-entry hit."""
+        from repro import multiply_chain
+        from repro.core.instrument import KernelStats
+        from repro.matrix.ops import transpose
+
+        monkeypatch.setattr(plan_mod, "AUTO_REVISIT_PERIOD", 2)
+        r = er_matrix(6, 3, seed=1).row_block(0, 24)
+        a = er_matrix(6, 6, seed=2)
+        mats = [r, a, transpose(r)]
+        kw = dict(algorithm="auto", engine="fast", fuse="off")
+        p = make_profile({"hash": 0.5, "heap": 0.7})
+        set_active_profile(p)
+        cache = PlanCache(maxsize=8)
+
+        def stage_algorithms():
+            return [getattr(e, "algorithm", e)
+                    for k, e in cache._entries.items() if k[0] != "chain"]
+
+        def run():
+            stats = KernelStats()
+            c = multiply_chain(mats, plan_cache=cache, stats=stats, **kw)
+            return c, stats.plan_hits
+
+        c0, _ = run()
+        assert stage_algorithms() == ["hash", "hash"]
+        ra = spgemm(r, a)
+        for left, right in ((r, a), (ra, mats[2])):
+            q = ProblemQuantities.compute(left, right)
+            regime = regime_key(q.compression_ratio, row_skew(left), True)
+            for i in range(16):
+                p.refiner.observe("hash", regime, predicted_seconds=1.0,
+                                  measured_seconds=64.0,
+                                  fingerprint=(i, left.nrows))
+        # each hit: the chain entry and both stages' own lookups; the
+        # second stage hit revisits and re-resolves both stages
+        c1, hits1 = run()
+        c2, hits2 = run()
+        assert (hits1, hits2) == (3, 3)
+        assert stage_algorithms() == ["heap", "heap"]
+        clear_active_profile()
+        c3, hits3 = run()
+        assert hits3 == 1
+        for c in (c1, c2, c3):
+            assert np.array_equal(c.indptr, c0.indptr)
+            assert np.array_equal(c.indices, c0.indices)
+            assert np.array_equal(c.data.view(np.uint64), c0.data.view(np.uint64))
+
     def test_static_auto_entries_never_revisited(self, monkeypatch):
         monkeypatch.setattr(plan_mod, "AUTO_REVISIT_PERIOD", 1)
         a = er_matrix(6, 8, seed=10)

@@ -25,6 +25,7 @@ from repro import (
     csr_from_coo,
     masked_spgemm,
     multiply_chain,
+    plan_chain,
     spgemm,
 )
 from repro.core import chain as chain_mod
@@ -37,6 +38,7 @@ from repro.core.plan import (
 )
 from repro.core.spgemm import ALGORITHMS
 from repro.matrix.csr import CSR
+from repro.matrix.ops import transpose
 from repro.observability import Tracer
 from repro.rmat import er_matrix, g500_matrix
 from repro.semiring import MAX_TIMES, SEMIRINGS
@@ -423,6 +425,258 @@ class TestChainPlanMemo:
             got = multiply_chain(mats, plan_cache=cache, **kw)
             assert len(count_plan_chain) - before == int(plans)
             assert_identical(got, multiply_chain(mats, **kw))
+
+
+# ---------------------------------------------------------------------------
+# The 64-bit structure hash
+# ---------------------------------------------------------------------------
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix_weight(counter: int) -> int:
+    """One odd hash weight, computed with Python integers."""
+    z = (counter * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return (z ^ (z >> 31)) | 1
+
+
+def reference_hash(words) -> int:
+    """Word ``j`` weighted by ``w1[j % block] * w2[j // block]``, mod 2**64."""
+    block = plan_mod.HASH_BLOCK
+    return sum(
+        int(w) * splitmix_weight(1 + j % block)
+        * splitmix_weight((1 << 32) + j // block)
+        for j, w in enumerate(words)
+    ) & MASK64
+
+
+def reference_fingerprint(m: CSR) -> tuple:
+    return (m.nrows, m.ncols, m.nnz,
+            reference_hash(m.indptr), reference_hash(m.indices))
+
+
+def hash_base() -> CSR:
+    """Two first-level blocks of indices and a partial third."""
+    m = er_matrix(9, 18, seed=3)
+    assert 2 * plan_mod.HASH_BLOCK < m.nnz < 3 * plan_mod.HASH_BLOCK
+    return m
+
+
+def _changed_index(m: CSR) -> CSR:
+    indices = m.indices.copy()
+    row = m.indices[m.indptr[7] : m.indptr[8]]
+    free = np.setdiff1d(np.arange(m.ncols), row)
+    indices[m.indptr[7]] = free[0]
+    return CSR(m.shape, m.indptr, indices, m.data, sorted_rows=False)
+
+
+def _swapped_in_row(m: CSR) -> CSR:
+    indices = m.indices.copy()
+    i = m.indptr[m.nrows - 12]  # a row in the partial last block
+    assert m.indptr[m.nrows - 11] - i >= 2
+    indices[i], indices[i + 1] = indices[i + 1], indices[i]
+    return CSR(m.shape, m.indptr, indices, m.data, sorted_rows=False)
+
+
+def _moved_to_next_row(m: CSR) -> CSR:
+    # The last nonzero of a row becomes the first of the next: the flat
+    # indices stay word for word, only indptr moves.
+    for i in range(m.nrows - 1):
+        last = m.indptr[i + 1] - 1
+        nxt = m.indices[m.indptr[i + 1] : m.indptr[i + 2]]
+        if m.indptr[i + 1] > m.indptr[i] and m.indices[last] not in nxt:
+            break
+    indptr = m.indptr.copy()
+    indptr[i + 1] -= 1
+    return CSR(m.shape, indptr, m.indices, m.data, sorted_rows=False)
+
+
+class TestStructureHash:
+    """``structure_fingerprint`` keeps ``indptr`` and ``indices`` apart, each
+    under the two-level multilinear hash of their 64-bit words."""
+
+    @pytest.mark.parametrize(
+        "variant, changed",
+        [
+            (_changed_index, "indices"),
+            (_swapped_in_row, "indices"),
+            (_moved_to_next_row, "indptr"),
+        ],
+        ids=["one-index", "swap-in-row", "moved-to-next-row"],
+    )
+    def test_structure_change_moves_its_own_hash(self, variant, changed):
+        base = hash_base()
+        other = variant(base)
+        fb, fo = structure_fingerprint(base), structure_fingerprint(other)
+        assert fo == reference_fingerprint(other)
+        assert fb[:3] == fo[:3]
+        moved = {"indptr": fb[3] != fo[3], "indices": fb[4] != fo[4]}
+        assert moved == {"indptr": changed == "indptr",
+                         "indices": changed == "indices"}
+
+    def test_transposed_shape(self):
+        base = hash_base().row_block(0, 100)
+        t = transpose(base)
+        ft = structure_fingerprint(t)
+        assert ft == reference_fingerprint(t)
+        assert ft[:2] == (base.ncols, base.nrows)
+        assert ft != structure_fingerprint(base)
+
+    def test_revalued_matrix_keeps_its_fingerprint(self):
+        base = hash_base()
+        fp = structure_fingerprint(revalue(base, 4))
+        assert fp == structure_fingerprint(base) == reference_fingerprint(base)
+
+    def test_long_arrays_derive_the_same_block_weights(self, monkeypatch):
+        words = np.arange(5 * plan_mod.HASH_BLOCK + 3).view(plan_mod.HASH_DTYPE)
+        h = plan_mod._hash64(words)
+        # a table too short for six blocks: the per-call weights take over
+        monkeypatch.setattr(plan_mod, "_BLOCK_WEIGHTS", plan_mod._BLOCK_WEIGHTS[:2])
+        assert plan_mod._hash64(words) == h == reference_hash(words)
+
+    def test_any_single_word_change_is_seen(self):
+        rng = np.random.default_rng(11)
+        words = rng.integers(0, 1 << 40, 3 * plan_mod.HASH_BLOCK + 17)
+        h = plan_mod._hash64(words.view(plan_mod.HASH_DTYPE))
+        for j in rng.integers(0, len(words), 64):
+            changed = words.copy()
+            changed[j] += int(rng.integers(1, 1 << 20)) << int(rng.integers(0, 40))
+            assert plan_mod._hash64(changed.view(plan_mod.HASH_DTYPE)) != h
+
+
+# ---------------------------------------------------------------------------
+# Chain entries: a repeated multiply_chain replays its saved stage plans
+# ---------------------------------------------------------------------------
+
+
+def rap(seed: int = 1):
+    """A Galerkin-shaped R·A·P: R aggregates rows, P = Rᵀ."""
+    r = er_matrix(6, 3, seed=seed).row_block(0, 24)
+    a = er_matrix(6, 6, seed=seed + 1)
+    return [r, a, transpose(r)]
+
+
+def right_deep():
+    """(A · B) · v costs more than A · (B · v)."""
+    a = er_matrix(6, 8, seed=4)
+    b = er_matrix(6, 8, seed=5)
+    return [a, b, transpose(er_matrix(6, 2, seed=6).row_block(0, 2))]
+
+
+def chain_mask(mats, seed: int = 9) -> CSR:
+    """A random mask over the chain's output, about a third full."""
+    nrows, ncols = mats[0].nrows, mats[-1].ncols
+    rng = np.random.default_rng(seed)
+    keep = rng.random((nrows, ncols)) < 0.35
+    rows, cols = np.nonzero(keep)
+    return csr_from_coo(nrows, ncols, rows, cols, np.ones(len(rows)))
+
+
+CHAIN_CASES = {
+    "sandwich-auto": (rap, dict(algorithm="auto", engine="auto")),
+    "sandwich-faithful-hash": (rap, dict(algorithm="hash")),
+    "sandwich-unfused": (rap, dict(algorithm="auto", engine="auto", fuse="off")),
+    "unsorted": (rap, dict(algorithm="hash", engine="fast", sort_output=False)),
+    "planless-stages": (rap, dict(algorithm="heap")),
+    "masked": (rap, dict(algorithm="auto", engine="auto", mask=True)),
+    "masked-unfused": (rap, dict(algorithm="hash", fuse="off", mask=True)),
+    "complemented": (
+        rap, dict(algorithm="auto", engine="auto", mask=True, complement=True)
+    ),
+    "right-deep": (right_deep, dict(algorithm="auto", engine="auto")),
+    "two-operands": (lambda: rap()[:2], dict(algorithm="hash", engine="fast")),
+}
+
+
+class TestChainEntry:
+    def _call(self, mats, kw, **extra):
+        kw = dict(kw)
+        mask = chain_mask(mats) if kw.pop("mask", False) else None
+        return multiply_chain(mats, mask=mask, **kw, **extra), mask
+
+    @pytest.mark.parametrize("case", list(CHAIN_CASES))
+    def test_hit_is_one_lookup_and_bit_identical(self, case, count_fingerprints):
+        build, kw = CHAIN_CASES[case]
+        mats = build()
+        cache = PlanCache()
+        self._call(mats, kw, plan_cache=cache)
+        for seed in (5, 6):
+            again = [revalue(m, seed + i) for i, m in enumerate(mats)]
+            hits, misses = cache.hits, cache.misses
+            count_fingerprints.clear()
+            got, mask = self._call(again, kw, plan_cache=cache)
+            seen = [id(x) for x in count_fingerprints]
+            assert seen == [id(x) for x in again] + ([id(mask)] if mask else [])
+            assert (cache.hits, cache.misses) == (hits + 1, misses)
+            assert_identical(got, self._call(again, kw)[0])
+
+    def test_right_deep_case_is_right_deep(self):
+        assert plan_chain(right_deep()).order == (0, (1, 2))
+
+    def test_multi_block_stream_hits(self, monkeypatch, count_fingerprints):
+        from repro.core.symbolic import iter_row_blocks
+
+        walks = []
+
+        def small_blocks(m0, m1, total_flop=None):
+            walks.append(list(iter_row_blocks(m0, m1, 8, total_flop=total_flop)))
+            return iter(walks[-1])
+
+        monkeypatch.setattr(chain_mod, "iter_row_blocks", small_blocks)
+        mats = rap()
+        kw = dict(algorithm="auto", engine="auto")
+        cache = PlanCache()
+        multiply_chain(mats, plan_cache=cache, **kw)
+        (spans,) = walks
+        nblocks = len(spans)
+        assert nblocks > 1
+        again = [revalue(m, 3 + i) for i, m in enumerate(mats)]
+        count_fingerprints.clear()
+        tracer = Tracer()
+        got = multiply_chain(again, plan_cache=cache, tracer=tracer, **kw)
+        assert len(walks) == 1  # the saved blocks, not a new walk
+        assert [id(x) for x in count_fingerprints] == [id(x) for x in again]
+        assert [s.name for s in tracer.spans] == ["plan.execute"] * 2 * nblocks
+        assert_identical(got, multiply_chain(again, fuse="off", **kw))
+        assert_identical(got, multiply_chain(again, **kw))
+
+    @pytest.mark.parametrize("kw", [
+        dict(algorithm="auto", engine="auto", fuse="off"),
+        dict(algorithm="hash", mask=True),
+    ], ids=["unfused", "masked-stream"])
+    def test_traced_hit_spans_one_execute_per_stage(self, kw):
+        mats = rap()
+        cache = PlanCache()
+        self._call(mats, kw, plan_cache=cache)
+        tracer = Tracer()
+        again = [revalue(m, 7 + i) for i, m in enumerate(mats)]
+        got, _ = self._call(again, kw, plan_cache=cache, tracer=tracer)
+        assert [s.name for s in tracer.spans] == ["plan.execute"] * 2
+        assert_identical(got, self._call(again, kw)[0])
+
+    @pytest.mark.parametrize("fuse", ["auto", "off"])
+    def test_stats_reach_every_stage(self, fuse):
+        mats = rap()
+        plan = plan_chain(mats)
+        nnz = sum(s.nnz for s in plan.stages)
+        fresh = KernelStats()
+        multiply_chain(mats, algorithm="hash", fuse=fuse, stats=fresh)
+        assert (fresh.flops, fresh.output_nnz) == (plan.flop, nnz)
+        cache = PlanCache()
+        miss, hit = KernelStats(), KernelStats()
+        kw = dict(algorithm="hash", engine="fast", fuse=fuse, plan_cache=cache)
+        multiply_chain(mats, stats=miss, **kw)
+        multiply_chain([revalue(m, 2) for m in mats], stats=hit, **kw)
+        # the miss: the chain entry, then each stage's own lookup
+        assert (miss.plan_misses, miss.plan_hits) == (3, 0)
+        assert (hit.plan_misses, hit.plan_hits) == (0, 1)
+        for ks in (miss, hit):
+            assert (ks.flops, ks.output_nnz) == (plan.flop, nnz)
+        masked = KernelStats()
+        multiply_chain(mats, mask=chain_mask(mats), stats=masked)
+        assert masked.flops > 0 and masked.output_nnz > 0
 
 
 # ---------------------------------------------------------------------------
